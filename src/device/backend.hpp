@@ -5,14 +5,19 @@
 // scalar reference backend walks lanes one at a time (the seed behaviour,
 // bit-for-bit); the SIMD backend batches the lanes of each phase into
 // `#pragma omp simd` loops over contiguous lane arrays, the way a GPU work
-// group executes all lanes of a phase at once (paper Sec. VI). Both
-// backends run the identical lock-step schedule, so the deterministic
-// work.* counters (compare_exchanges, lockstep_phases, scan_sweeps,
-// rng_draws) tally identically under either - the machine-independent
-// proof of schedule equivalence the regression gate relies on - and every
-// batched op is restricted to bit-exact transforms (compare-exchange
-// selects, element-independent adds, IEEE-exact math), so estimates match
-// the scalar reference bit-for-bit too.
+// group executes all lanes of a phase at once (paper Sec. VI). Where one
+// kernel is already the fast form for every backend, both LaneOps rows
+// point at it: the local sort (sortnet::bitonic_sort_by_key visits only the
+// live lanes of each phase with branch-free, lane-batched selects) and the
+// Box-Muller fill (prng::box_muller_fill, run in place over the raw draws
+// by MtgpStream::fill). The scan and the weighting keep one kernel per
+// backend. Both backends run the identical lock-step schedule, so the
+// deterministic work.* counters (compare_exchanges, lockstep_phases,
+// scan_sweeps, rng_draws) tally identically under either - the
+// machine-independent proof of schedule equivalence the regression gate
+// relies on - and every batched op is restricted to bit-exact transforms
+// (compare-exchange selects, element-independent adds, IEEE-exact math), so
+// estimates match the scalar reference bit-for-bit too.
 //
 // Adding a backend (GPU offload, fixed-point, ...) means adding an enum
 // value, a LaneOps table, and a lane_ops() row; everything above the device
@@ -59,18 +64,15 @@ void set_default_backend(Backend b);
 
 namespace detail {
 
+/// Descending bitonic sort of (key, index) pairs. One kernel serves every
+/// backend: sortnet::bitonic_sort_by_key already enumerates only the live
+/// lanes of each phase and compare-exchanges them with branch-free selects
+/// in a lane-batched loop.
 template <typename T>
-void sort_pairs_desc_scalar(std::span<T> keys, std::span<std::uint32_t> idx,
-                            sortnet::NetCounters* nc) {
+void sort_pairs_desc(std::span<T> keys, std::span<std::uint32_t> idx,
+                     sortnet::NetCounters* nc) {
   sortnet::bitonic_sort_by_key<T, std::uint32_t>(keys, idx, std::greater<T>(),
                                                  nc);
-}
-
-template <typename T>
-void sort_pairs_desc_simd(std::span<T> keys, std::span<std::uint32_t> idx,
-                          sortnet::NetCounters* nc) {
-  sortnet::bitonic_sort_by_key_simd<T, std::uint32_t>(keys, idx,
-                                                      std::greater<T>(), nc);
 }
 
 /// Weighting phase over one group's contiguous lane arrays:
@@ -113,21 +115,23 @@ struct LaneOps {
   /// lw_out[i] = lw_in[i] + loglik[i] - the weighting phase.
   void (*weigh)(std::span<const T> lw_in, std::span<const T> loglik,
                 std::span<T> lw_out);
-  /// Box-Muller over staged uniforms in generator draw order (see
-  /// prng::box_muller_fill for the draw-pairing contract).
+  /// Box-Muller over U(0,1) draws in generator draw order; `out` may alias
+  /// `draws` (see prng::box_muller_fill for the draw-pairing contract).
   void (*normal_fill)(std::span<const T> draws, std::span<T> out);
 };
 
 /// The LaneOps table of a concrete backend (kAuto resolves first).
 template <typename T>
 [[nodiscard]] inline const LaneOps<T>& lane_ops(Backend b) {
+  // The sort and Box-Muller rows are shared: their single kernels are
+  // already branch-free and lane-batched (sort) or bound by scalar libm
+  // calls that no batching speeds up (Box-Muller).
   static const LaneOps<T> kScalarOps{
-      &detail::sort_pairs_desc_scalar<T>, &sortnet::blelloch_exclusive_scan<T>,
+      &detail::sort_pairs_desc<T>, &sortnet::blelloch_exclusive_scan<T>,
       &detail::weigh_lanes_scalar<T>, &prng::box_muller_fill<T>};
   static const LaneOps<T> kSimdOps{
-      &detail::sort_pairs_desc_simd<T>,
-      &sortnet::blelloch_exclusive_scan_simd<T>, &detail::weigh_lanes_simd<T>,
-      &prng::box_muller_fill_simd<T>};
+      &detail::sort_pairs_desc<T>, &sortnet::blelloch_exclusive_scan_simd<T>,
+      &detail::weigh_lanes_simd<T>, &prng::box_muller_fill<T>};
   return resolve_backend(b) == Backend::kSimd ? kSimdOps : kScalarOps;
 }
 

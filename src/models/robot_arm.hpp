@@ -138,18 +138,19 @@ class RobotArmModel {
                                    : p_.arm_length;
     Vec3<T> pos{T(0), T(0), p_.base_height};
     T pitch = T(0);
+    // cos/sin of the running pitch; with no segments the pitch stays 0.
+    T cp = T(1);
+    T sp = T(0);
     for (std::size_t s = 0; s < segments; ++s) {
       pitch += angles[s + 1];
-      const T cp = std::cos(pitch);
-      const T sp = std::sin(pitch);
+      cp = std::cos(pitch);
+      sp = std::sin(pitch);
       pos.x += seg_len * cp * cy;
       pos.y += seg_len * cp * sy;
       pos.z += seg_len * sp;
     }
     // Camera forward axis points along the last segment; right axis is the
     // horizontal perpendicular; up completes the frame (forward x right).
-    const T cp = std::cos(pitch);
-    const T sp = std::sin(pitch);
     CameraPose<T> cam;
     cam.position = pos;
     cam.right = {-sy, cy, T(0)};

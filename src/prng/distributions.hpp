@@ -52,45 +52,24 @@ inline std::pair<T, T> box_muller(T u1, T u2) {
   return {r * std::cos(theta), r * std::sin(theta)};
 }
 
-/// Batched Box-Muller over `draws`, a staged run of U(0,1) variates in
-/// generator draw order. Pair p consumes draws[2p] and draws[2p+1] and
-/// produces out[2p], out[2p+1] (an odd-sized `out` still consumes a full
-/// pair and discards z1, matching the sized PRNG-kernel budget).
+/// Batched Box-Muller over `draws`, a run of U(0,1) variates in generator
+/// draw order. Pair p consumes draws[2p] and draws[2p+1] and produces
+/// out[2p], out[2p+1] (an odd-sized `out` still consumes a full pair and
+/// discards z1, matching the sized PRNG-kernel budget). Pair p is read
+/// before it is written, so `out` may alias `draws` for an in-place fill.
 ///
 /// Draw-pairing contract: the historical fill evaluated
 /// `box_muller(uniform01(gen), uniform01(gen))`, whose argument order is
 /// unspecified; GCC evaluates right-to-left, so the *first* draw of each
 /// pair became the angle input u2 and the *second* the radius input u1.
 /// This helper pins that pairing explicitly - box_muller(draws[2p+1],
-/// draws[2p]) - so staged fills reproduce the seed sequences bit-for-bit
-/// on any compiler.
+/// draws[2p]) - so the fills reproduce the seed sequences bit-for-bit on
+/// any compiler. The transform calls the scalar libm routines (no
+/// fast-math relaxation, no vector-math substitution); a `#pragma omp simd`
+/// here measures *slower* because the transcendental calls serialize the
+/// lanes anyway.
 template <typename T>
 inline void box_muller_fill(std::span<const T> draws, std::span<T> out) {
-  const std::size_t pairs = (out.size() + 1) / 2;
-  assert(draws.size() >= 2 * pairs);
-  for (std::size_t p = 0; p + 1 < pairs; ++p) {
-    const auto [z0, z1] = box_muller(draws[2 * p + 1], draws[2 * p]);
-    out[2 * p] = z0;
-    out[2 * p + 1] = z1;
-  }
-  if (pairs > 0) {
-    const std::size_t p = pairs - 1;
-    const auto [z0, z1] = box_muller(draws[2 * p + 1], draws[2 * p]);
-    out[2 * p] = z0;
-    if (2 * p + 1 < out.size()) out[2 * p + 1] = z1;
-  }
-}
-
-/// Lane-batched variant of box_muller_fill: identical draw pairing over a
-/// pre-staged contiguous draw array, evaluated pair-at-a-time with no
-/// interleaved generator stepping. The transform calls the same scalar
-/// libm routines (no fast-math relaxation, no vector-math substitution),
-/// so outputs stay bit-identical to the scalar fill; a `#pragma omp simd`
-/// here measures *slower* because the transcendental calls serialize the
-/// lanes anyway, so the batching win is the staging itself (generator
-/// stepping decoupled from the transform's load/store stream).
-template <typename T>
-inline void box_muller_fill_simd(std::span<const T> draws, std::span<T> out) {
   const std::size_t pairs = out.size() / 2;
   assert(draws.size() >= 2 * ((out.size() + 1) / 2));
   const T* const d = draws.data();

@@ -6,34 +6,60 @@
 
 namespace esthera::prng {
 
+namespace {
+
+/// Knuth's seeding recurrence: state word i from word i - 1.
+constexpr std::uint32_t knuth_next(std::uint32_t prev, int i) {
+  return 1812433253u * (prev ^ (prev >> 30)) + static_cast<std::uint32_t>(i);
+}
+
+}  // namespace
+
 void Mt19937::reseed(std::uint32_t seed) {
   state_[0] = seed;
-  for (int i = 1; i < kN; ++i) {
-    state_[i] = 1812433253u * (state_[i - 1] ^ (state_[i - 1] >> 30)) +
-                static_cast<std::uint32_t>(i);
-  }
+  for (int i = 1; i < kN; ++i) state_[i] = knuth_next(state_[i - 1], i);
   index_ = kN;
 }
 
-void Mt19937::twist() {
-  for (int i = 0; i < kN; ++i) {
-    const std::uint32_t y =
-        (state_[i] & kUpperMask) | (state_[(i + 1) % kN] & kLowerMask);
-    std::uint32_t next = state_[(i + kM) % kN] ^ (y >> 1);
-    if (y & 1u) next ^= kMatrixA;
-    state_[i] = next;
+std::vector<Mt19937> Mt19937::seeded(std::span<const std::uint32_t> seeds) {
+  std::vector<Mt19937> gens(seeds.size(), Mt19937(Unseeded{}));
+  constexpr std::size_t kLanes = 4;
+  std::size_t g = 0;
+  for (; g + kLanes <= seeds.size(); g += kLanes) {
+    std::uint32_t x[kLanes] = {};
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      x[l] = seeds[g + l];
+      gens[g + l].state_[0] = x[l];
+    }
+    for (int i = 1; i < kN; ++i) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        x[l] = knuth_next(x[l], i);
+        gens[g + l].state_[i] = x[l];
+      }
+    }
   }
-  index_ = 0;
+  for (; g < seeds.size(); ++g) gens[g].reseed(seeds[g]);
+  for (Mt19937& gen : gens) gen.index_ = kN;
+  return gens;
 }
 
-std::uint32_t Mt19937::operator()() {
-  if (index_ >= kN) twist();
-  std::uint32_t y = state_[index_++];
-  y ^= y >> 11;
-  y ^= (y << 7) & 0x9d2c5680u;
-  y ^= (y << 15) & 0xefc60000u;
-  y ^= y >> 18;
-  return y;
+// The standard three-loop twist: no modulo, and the conditional xor of the
+// matrix constant becomes a mask. Word i reads words i + 1 and i + M (mod
+// N) after the earlier words of this pass were already rewritten, exactly
+// as the single-loop reference does.
+void Mt19937::twist() {
+  const auto mix = [](std::uint32_t upper, std::uint32_t lower,
+                      std::uint32_t far) {
+    const std::uint32_t y = (upper & kUpperMask) | (lower & kLowerMask);
+    return far ^ (y >> 1) ^ ((0u - (y & 1u)) & kMatrixA);
+  };
+  int i = 0;
+  for (; i < kN - kM; ++i) state_[i] = mix(state_[i], state_[i + 1], state_[i + kM]);
+  for (; i < kN - 1; ++i) {
+    state_[i] = mix(state_[i], state_[i + 1], state_[i + kM - kN]);
+  }
+  state_[kN - 1] = mix(state_[kN - 1], state_[0], state_[kM - 1]);
+  index_ = 0;
 }
 
 void Mt19937::discard(unsigned long long n) {

@@ -4,9 +4,11 @@
 // scheme on top of this core generator.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 namespace esthera::prng {
 
@@ -27,8 +29,36 @@ class Mt19937 {
   /// recurrence, identical to std::mt19937 seeding).
   void reseed(std::uint32_t seed);
 
+  /// Seeds one generator per entry of `seeds`: generator i holds exactly
+  /// the state of Mt19937(seeds[i]). The Knuth recurrences of four
+  /// generators run interleaved in one loop, so their multiply latencies
+  /// overlap instead of adding up (per-work-group stream setup).
+  [[nodiscard]] static std::vector<Mt19937> seeded(
+      std::span<const std::uint32_t> seeds);
+
   /// Next 32 uniformly distributed bits.
-  std::uint32_t operator()();
+  std::uint32_t operator()() {
+    if (index_ >= kN) twist();
+    return temper(state_[index_++]);
+  }
+
+  /// Writes conv(b) for the next out.size() outputs b, in draw order: the
+  /// same values as `for (auto& v : out) v = conv((*this)());`, but each
+  /// run of the current state block is tempered and converted in one loop.
+  template <typename T, typename Conv>
+  void fill(std::span<T> out, Conv conv) {
+    std::size_t done = 0;
+    while (done < out.size()) {
+      if (index_ >= kN) twist();
+      const std::size_t run = std::min<std::size_t>(
+          out.size() - done, static_cast<std::size_t>(kN - index_));
+      const std::uint32_t* src = state_.data() + index_;
+      T* dst = out.data() + done;
+      for (std::size_t i = 0; i < run; ++i) dst[i] = conv(temper(src[i]));
+      index_ += static_cast<int>(run);
+      done += run;
+    }
+  }
 
   /// Skips `n` outputs.
   void discard(unsigned long long n);
@@ -59,6 +89,16 @@ class Mt19937 {
   static constexpr std::uint32_t kMatrixA = 0x9908b0dfu;
   static constexpr std::uint32_t kUpperMask = 0x80000000u;
   static constexpr std::uint32_t kLowerMask = 0x7fffffffu;
+
+  struct Unseeded {};
+  explicit Mt19937(Unseeded) {}
+
+  static constexpr std::uint32_t temper(std::uint32_t y) {
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680u;
+    y ^= (y << 15) & 0xefc60000u;
+    return y ^ (y >> 18);
+  }
 
   void twist();
 

@@ -8,76 +8,62 @@ namespace esthera::prng {
 MtgpStream::MtgpStream(std::size_t groups, std::uint64_t seed, Generator generator)
     : generator_(generator), seed_(seed) {
   if (generator_ == Generator::kMtgp) {
-    mt_.reserve(groups);
+    std::vector<std::uint32_t> seeds(groups);
     SplitMix64 mix(seed);
-    for (std::size_t g = 0; g < groups; ++g) {
-      mt_.emplace_back(static_cast<std::uint32_t>(mix() >> 16));
-    }
+    for (auto& s : seeds) s = static_cast<std::uint32_t>(mix() >> 16);
+    mt_ = Mt19937::seeded(seeds);
   } else {
     philox_streams_ = groups;
   }
 }
 
-template <>
-std::vector<float>& MtgpStream::stage_vec<float>() { return stage_f_; }
-template <>
-std::vector<double>& MtgpStream::stage_vec<double>() { return stage_d_; }
+namespace {
+
+/// Next out.size() U(0,1) variates of `gen`, in draw order.
+template <typename T>
+void draw_u01(Mt19937& gen, std::span<T> out) {
+  gen.fill(out, [](std::uint32_t bits) { return u01<T>(bits); });
+}
+
+template <typename T>
+void draw_u01(PhiloxStream& gen, std::span<T> out) {
+  for (T& v : out) v = uniform01<T>(gen);
+}
+
+}  // namespace
 
 template <typename T>
 void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
                            device::Backend backend) {
   const std::uint64_t round = round_++;
-  const device::Backend resolved = device::resolve_backend(backend);
-  const auto& ops = device::lane_ops<T>(resolved);
-  // Draw budget of the normals section: pairwise Box-Muller, odd counts
-  // still consume a full pair (the paper's PRNG kernel generates a fixed
-  // grid). Both paths draw exactly this many uniforms before the uniforms
-  // section, so the sequences are bit-identical across backends.
-  const std::size_t pair_draws = 2 * ((buf.normals_per_group + 1) / 2);
-  std::span<T> stage;
-  if (resolved == device::Backend::kSimd) {
-    auto& vec = stage_vec<T>();
-    vec.resize(buf.groups * pair_draws);
-    stage = vec;
-  }
-  pool.run(buf.groups, [&](std::size_t g, std::size_t /*worker*/) {
-    auto normals = buf.group_normals(g);
-    auto uniforms = buf.group_uniforms(g);
-    auto fill_from = [&](auto& gen) {
-      if (resolved == device::Backend::kSimd) {
-        // Stage the raw draws in generator order, then batch-transform.
-        auto draws = stage.subspan(g * pair_draws, pair_draws);
-        for (auto& v : draws) v = uniform01<T>(gen);
-        ops.normal_fill(draws, normals);
-      } else {
-        // Normals pairwise via Box-Muller. Draw order pinned per
-        // box_muller_fill's contract: first draw = angle input u2, second
-        // = radius input u1 (historically GCC's right-to-left argument
-        // evaluation of box_muller(uniform01(gen), uniform01(gen))).
-        for (std::size_t i = 0; i + 1 < normals.size(); i += 2) {
-          const T u2 = uniform01<T>(gen);
-          const T u1 = uniform01<T>(gen);
-          const auto [z0, z1] = box_muller(u1, u2);
-          normals[i] = z0;
-          normals[i + 1] = z1;
-        }
-        if (normals.size() % 2 == 1) {
-          const T u2 = uniform01<T>(gen);
-          const T u1 = uniform01<T>(gen);
-          const auto [z0, z1] = box_muller(u1, u2);
-          normals[normals.size() - 1] = z0;
-          (void)z1;
-        }
-      }
-      for (auto& u : uniforms) u = uniform01<T>(gen);
+  const auto& ops = device::lane_ops<T>(device::resolve_backend(backend));
+  const auto fill_group = [&](std::size_t g) {
+    // Draw budget of the normals section: pairwise Box-Muller, so an odd
+    // count still consumes a full pair (the paper's PRNG kernel generates a
+    // fixed grid). The raw draws land in the group's normals slice itself
+    // and are transformed in place; the odd pair's draws go to `tail`.
+    const std::span<T> normals = buf.group_normals(g);
+    const std::span<T> paired = normals.first(normals.size() & ~std::size_t{1});
+    T tail[2] = {};
+    const bool odd = paired.size() < normals.size();
+    const auto draw = [&](auto& gen) {
+      draw_u01(gen, paired);
+      if (odd) draw_u01(gen, std::span<T>(tail));
+      draw_u01(gen, buf.group_uniforms(g));
     };
     if (generator_ == Generator::kMtgp) {
-      fill_from(mt_[g]);
+      draw(mt_[g]);
     } else {
       PhiloxStream gen(seed_, (round << 32) | static_cast<std::uint64_t>(g));
-      fill_from(gen);
+      draw(gen);
     }
-  });
+    ops.normal_fill(paired, paired);
+    if (odd) ops.normal_fill(std::span<const T>(tail), normals.last(1));
+  };
+  // One reference capture keeps the std::function the pool takes within
+  // its small-object buffer: the fill allocates nothing.
+  pool.run(buf.groups,
+           [&fill_group](std::size_t g, std::size_t /*worker*/) { fill_group(g); });
 }
 
 void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,

@@ -88,11 +88,14 @@ class MtgpStream {
   [[nodiscard]] Generator generator() const noexcept { return generator_; }
 
   /// Fills `buf` with N(0,1) normals and U(0,1) uniforms for every group,
-  /// distributing groups over `pool`. `backend` selects how each group's
-  /// Box-Muller transform runs (scalar lane-by-lane, or staged draws fed to
-  /// the lane-batched fill); the draw order and outputs are bit-identical
-  /// either way - see prng::box_muller_fill. kAuto resolves to the process
-  /// default.
+  /// distributing groups over `pool`. Per group, one path serves every
+  /// backend: the raw U(0,1) draws for the normals are bulk-filled straight
+  /// into the group's normals slice (an odd count draws its last pair into
+  /// a two-slot local tail), then the uniforms are bulk-filled, and finally
+  /// the backend's LaneOps::normal_fill runs Box-Muller over the slice in
+  /// place. The draw order - and so every output bit - is the same under
+  /// any backend; see prng::box_muller_fill for the pairing contract. kAuto
+  /// resolves to the process default.
   void fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,
             device::Backend backend = device::Backend::kScalar);
   void fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf,
@@ -113,18 +116,11 @@ class MtgpStream {
   void fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
                  device::Backend backend);
 
-  template <typename T>
-  [[nodiscard]] std::vector<T>& stage_vec();
-
   Generator generator_;
   std::uint64_t seed_ = 0;
   std::vector<Mt19937> mt_;       // kMtgp: one state per group
   std::size_t philox_streams_ = 0;  // kPhilox: stateless, counts rounds
   std::uint64_t round_ = 0;
-  // Per-group staging area for the batched Box-Muller path: the raw U(0,1)
-  // draws in generator order, reused across rounds (empty under scalar).
-  std::vector<float> stage_f_;
-  std::vector<double> stage_d_;
 };
 
 }  // namespace esthera::prng

@@ -41,19 +41,23 @@ T build_cumulative(std::span<const T> weights, std::span<T> cumsum,
   return sortnet::inclusive_scan_inplace(cumsum);
 }
 
-/// Binary search: smallest index i with cumsum[i] >= target.
+/// Binary search: smallest index i with cumsum[i] >= target, clamped to
+/// the last index. Branch-free lower bound: each halving step advances by
+/// `half` times the comparison bit (a conditional move, not a jump), so the
+/// search costs log2(n) compares and no mispredictions. On any
+/// non-decreasing cumsum (and for NaN targets, which no entry is below) the
+/// index equals the classic lo/hi bisection's.
 template <typename T>
 std::size_t upper_index(std::span<const T> cumsum, T target) {
+  std::size_t len = cumsum.size();
+  if (len == 0) return static_cast<std::size_t>(-1);
   std::size_t lo = 0;
-  std::size_t hi = cumsum.size();  // exclusive
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cumsum[mid] < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    lo += static_cast<std::size_t>(cumsum[lo + half - 1] < target) * half;
+    len -= half;
   }
+  lo += static_cast<std::size_t>(cumsum[lo] < target);
   return lo < cumsum.size() ? lo : cumsum.size() - 1;
 }
 

@@ -7,6 +7,7 @@
 // scalar, SIMD and true lane-parallel execution all agree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <span>
@@ -202,10 +203,11 @@ TEST_F(BackendTest, WeighBitIdenticalAcrossBackends) {
 }
 
 TEST_F(BackendTest, NormalFillMatchesNormalSourceSequence) {
-  // The staged fills must reproduce the NormalSource draw sequence
-  // bit-for-bit under the pinned pairing (radius = second draw of each
-  // pair), for even sizes and for odd sizes where the tail pair's z1 is
-  // consumed but discarded.
+  // The fills must reproduce the NormalSource draw sequence bit-for-bit
+  // under the pinned pairing (radius = second draw of each pair), for even
+  // sizes and for odd sizes where the tail pair's z1 is consumed but
+  // discarded - both from a separate draw buffer and in place over the
+  // draws, as MtgpStream::fill runs them.
   const auto& scalar = device::lane_ops<double>(device::Backend::kScalar);
   const auto& simd = device::lane_ops<double>(device::Backend::kSimd);
   for (const std::size_t n : {6u, 7u, 64u, 65u}) {
@@ -224,6 +226,13 @@ TEST_F(BackendTest, NormalFillMatchesNormalSourceSequence) {
     simd.normal_fill(draws, out_simd);
     EXPECT_EQ(out_scalar, expected) << "n=" << n;
     EXPECT_EQ(out_simd, expected) << "n=" << n;
+
+    for (const auto* ops : {&scalar, &simd}) {
+      auto inplace = draws;
+      ops->normal_fill(inplace, std::span<double>(inplace).first(n));
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), inplace.begin()))
+          << "in place, n=" << n;
+    }
   }
 }
 

@@ -509,6 +509,36 @@ TEST(Diagnostics, UniqueParentFraction) {
   EXPECT_EQ(estimation::unique_parent_fraction({}), 0.0);
 }
 
+TEST(Diagnostics, MarkingUniqueParentCountMatchesSetBased) {
+  std::mt19937 gen(17);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t m = 1 + gen() % 96;
+    std::vector<std::uint32_t> parents(m);
+    const std::uint32_t spread = 1 + gen() % static_cast<std::uint32_t>(m);
+    for (auto& p : parents) {
+      // Mostly in-range collapsed ancestries; some trials plant corrupt
+      // indices at and beyond m, repeated and distinct.
+      p = gen() % spread;
+      if (trial % 3 == 0 && gen() % 4 == 0) {
+        const std::uint32_t corrupt[] = {static_cast<std::uint32_t>(m),
+                                         static_cast<std::uint32_t>(m + 5),
+                                         0xffffffffu, 1u << 31};
+        p = corrupt[gen() % 4];
+      }
+    }
+    // Guard cells around the scratch catch any out-of-bounds write.
+    std::vector<std::uint32_t> scratch(m + 2, 0xdeadbeefu);
+    const double marked = estimation::unique_parent_fraction(
+        parents, std::span<std::uint32_t>(scratch).subspan(1, m));
+    EXPECT_EQ(marked, estimation::unique_parent_fraction(parents))
+        << "trial " << trial;
+    EXPECT_EQ(scratch.front(), 0xdeadbeefu);
+    EXPECT_EQ(scratch.back(), 0xdeadbeefu);
+  }
+  std::vector<std::uint32_t> scratch(4);
+  EXPECT_EQ(estimation::unique_parent_fraction({}, scratch), 0.0);
+}
+
 TEST(Diagnostics, ConvergenceDetectorLatches) {
   estimation::ConvergenceDetector det(0.1, 3);
   EXPECT_FALSE(det.update(0.5));

@@ -146,19 +146,27 @@ TEST(OpenMetricsWriter, ExemplarsCarryTraceIds) {
 /// Populates the registry with a deterministic workload distributed over
 /// `workers` threads: only commutative adds of fixed values, so the final
 /// state -- and therefore the exposition document -- is independent of
-/// scheduling and worker count.
+/// scheduling and worker count. LatencyHistogram is single-writer, so each
+/// pool index records into its own histogram and the registry's histogram
+/// merges them in index order once run() has returned. (Merging one
+/// histogram per worker would not do: which indices a worker runs depends
+/// on scheduling, and the floating-point `_sum` depends on how the samples
+/// are grouped.)
 void record_fixed_workload(telemetry::MetricsRegistry& reg,
                            std::size_t workers) {
+  constexpr std::size_t kSamples = 256;
   auto& requests = reg.counter("serve.requests");
   auto& depth = reg.gauge("queue.depth");
   auto& lat = reg.histogram("stage.sampling");
   mcore::ThreadPool pool(workers);
-  pool.run(256, [&](std::size_t i, std::size_t) {
+  std::vector<telemetry::LatencyHistogram> per_index(kSamples);
+  pool.run(kSamples, [&](std::size_t i, std::size_t) {
     requests.add(1);
     // Fixed per-index values: same multiset of samples in any order.
-    lat.record(1e-6 * static_cast<double>(1 + i % 32),
-               static_cast<std::uint64_t>(1 + i));
+    per_index[i].record(1e-6 * static_cast<double>(1 + i % 32),
+                        static_cast<std::uint64_t>(1 + i));
   });
+  for (const auto& h : per_index) lat.merge(h);
   depth.set(7.0);
 }
 

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <random>
 #include <vector>
@@ -108,6 +111,112 @@ INSTANTIATE_TEST_SUITE_P(
                                          Pattern::kReverse, Pattern::kConstant,
                                          Pattern::kFewUniques,
                                          Pattern::kAlternating)));
+
+// The lane-by-lane reference network: every (k, j) phase walks all n lanes,
+// skips the upper lane of each pair, and swaps behind a data-dependent
+// branch. The production kernel enumerates only the live lanes and swaps
+// with branch-free selects; it must reproduce this loop's keys and
+// permutation exactly, whatever the key values.
+template <typename K, typename Compare>
+void reference_bitonic_by_key(std::span<K> keys, std::span<std::uint32_t> idx,
+                              Compare cmp) {
+  const std::size_t n = keys.size();
+  for (std::size_t k = 2; k <= n; k <<= 1) {
+    for (std::size_t j = k >> 1; j > 0; j >>= 1) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t l = i ^ j;
+        if (l <= i) continue;
+        const bool ascending = (i & k) == 0;
+        if (cmp(keys[l], keys[i]) == ascending) {
+          std::swap(keys[i], keys[l]);
+          std::swap(idx[i], idx[l]);
+        }
+      }
+    }
+  }
+}
+
+// Ties, infinities, signed zeros and NaNs mixed into random keys: the cases
+// where a select-based network could land a value differently from the
+// branchy reference if the decision rule drifted.
+std::vector<float> adversarial_keys(std::size_t n, std::uint32_t seed) {
+  std::mt19937 gen(seed);
+  const float specials[] = {-std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            0.0f, -0.0f, 1.0f, 1.0f, -2.5f};
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const std::uint32_t r = gen() % 8;
+    x = r < 4 ? specials[gen() % std::size(specials)]
+              : static_cast<float>(static_cast<int>(gen() % 16) - 8);
+  }
+  return v;
+}
+
+std::vector<std::uint32_t> key_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> bits(v.size());
+  std::memcpy(bits.data(), v.data(), v.size() * sizeof(float));
+  return bits;
+}
+
+template <typename Compare>
+void expect_matches_reference(Compare cmp, std::uint32_t seed) {
+  for (std::size_t n = 2; n <= 1024; n <<= 1) {
+    const auto input = adversarial_keys(n, seed + static_cast<std::uint32_t>(n));
+    auto ref_keys = input;
+    std::vector<std::uint32_t> ref_idx(n);
+    std::iota(ref_idx.begin(), ref_idx.end(), 0u);
+    auto keys = ref_keys;
+    auto idx = ref_idx;
+    reference_bitonic_by_key(std::span<float>(ref_keys),
+                             std::span<std::uint32_t>(ref_idx), cmp);
+    sortnet::NetCounters nc;
+    sortnet::bitonic_sort_by_key(std::span<float>(keys),
+                                 std::span<std::uint32_t>(idx), cmp, &nc);
+    EXPECT_EQ(key_bits(keys), key_bits(ref_keys)) << "n=" << n;
+    EXPECT_EQ(idx, ref_idx) << "n=" << n;
+    const std::size_t log_n = static_cast<std::size_t>(std::countr_zero(n));
+    EXPECT_EQ(nc.lockstep_phases, log_n * (log_n + 1) / 2) << "n=" << n;
+    EXPECT_EQ(nc.compare_exchanges, nc.lockstep_phases * n / 2) << "n=" << n;
+    // The keys-only network makes the same decisions.
+    auto plain = input;
+    sortnet::bitonic_sort(std::span<float>(plain), cmp);
+    EXPECT_EQ(key_bits(plain), key_bits(ref_keys)) << "n=" << n;
+  }
+}
+
+TEST(BitonicReference, BranchFreeMatchesLaneByLaneDescending) {
+  expect_matches_reference(std::greater<float>(), 7);
+}
+
+TEST(BitonicReference, BranchFreeMatchesLaneByLaneAscending) {
+  expect_matches_reference(std::less<float>(), 8);
+}
+
+TEST(BitonicReference, DoubleKeysMatchLaneByLane) {
+  for (std::size_t n = 2; n <= 512; n <<= 1) {
+    std::mt19937 gen(static_cast<std::uint32_t>(n));
+    std::vector<double> ref_keys(n);
+    for (auto& x : ref_keys) {
+      x = gen() % 5 == 0 ? -std::numeric_limits<double>::infinity()
+                         : static_cast<double>(gen() % 7);
+    }
+    auto keys = ref_keys;
+    std::vector<std::uint32_t> ref_idx(n);
+    std::iota(ref_idx.begin(), ref_idx.end(), 0u);
+    auto idx = ref_idx;
+    reference_bitonic_by_key(std::span<double>(ref_keys),
+                             std::span<std::uint32_t>(ref_idx),
+                             std::greater<double>());
+    sortnet::bitonic_sort_by_key(std::span<double>(keys),
+                                 std::span<std::uint32_t>(idx),
+                                 std::greater<double>());
+    EXPECT_EQ(keys, ref_keys) << "n=" << n;
+    EXPECT_EQ(idx, ref_idx) << "n=" << n;
+  }
+}
 
 TEST(GatherRows, ReordersStateVectors) {
   const std::size_t dim = 3;
