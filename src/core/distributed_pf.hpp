@@ -72,6 +72,18 @@ class DistributedParticleFilter {
       : DistributedParticleFilter(std::move(model), config,
                                   std::unique_ptr<device::Device>{}, std::move(dev)) {}
 
+  /// Resumes `snapshot` (from export_state()) on an externally provided
+  /// device: the same filter as constructing and then import_state(), but
+  /// the PRNG stream is built straight from the snapshot and no prior is
+  /// drawn, so restoring costs about a copy of the state. Throws what
+  /// import_state() throws on a shape or generator mismatch.
+  DistributedParticleFilter(Model model, FilterConfig config,
+                            std::shared_ptr<device::Device> dev,
+                            const FilterState<T>& snapshot)
+      : DistributedParticleFilter(std::move(model), config,
+                                  std::unique_ptr<device::Device>{}, std::move(dev),
+                                  &snapshot) {}
+
   [[nodiscard]] const FilterConfig& config() const { return cfg_; }
   [[nodiscard]] const Model& model() const { return model_; }
   /// Mutable model access for time-varying model state (e.g. observer
@@ -261,7 +273,8 @@ class DistributedParticleFilter {
  private:
   DistributedParticleFilter(Model model, FilterConfig config,
                             std::unique_ptr<device::Device> owned,
-                            std::shared_ptr<device::Device> shared = nullptr)
+                            std::shared_ptr<device::Device> shared = nullptr,
+                            const FilterState<T>* snapshot = nullptr)
       : model_(std::move(model)),
         cfg_(config),
         owned_dev_(std::move(owned)),
@@ -271,7 +284,10 @@ class DistributedParticleFilter {
         n_filters_(cfg_.num_filters),
         n_total_(cfg_.total_particles()),
         dim_(model_.state_dim()),
-        stream_(n_filters_, cfg_.seed, cfg_.generator),
+        stream_(snapshot != nullptr
+                    ? prng::MtgpStream(n_filters_, cfg_.seed, cfg_.generator,
+                                       snapshot->rng)
+                    : prng::MtgpStream(n_filters_, cfg_.seed, cfg_.generator)),
         cur_(n_total_, dim_),
         aux_(n_total_, dim_),
         sort_keys_(n_total_),
@@ -387,7 +403,11 @@ class DistributedParticleFilter {
         }
       }
     }
-    initialize();
+    if (snapshot != nullptr) {
+      import_state(*snapshot);
+    } else {
+      initialize();
+    }
   }
 
   /// Routes a kernel launch through the CheckedDevice when invariant

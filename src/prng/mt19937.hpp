@@ -12,6 +12,8 @@
 
 namespace esthera::prng {
 
+class MtgpStream;
+
 /// 32-bit Mersenne Twister with the standard MT19937 parameters.
 ///
 /// Bit-exact with std::mt19937 for the same seed (verified by tests), but
@@ -90,8 +92,12 @@ class Mt19937 {
   static constexpr std::uint32_t kUpperMask = 0x80000000u;
   static constexpr std::uint32_t kLowerMask = 0x7fffffffu;
 
+  // An all-zero state with no seeding work: seeded() fills it in bulk, and
+  // MtgpStream's snapshot constructor overwrites it through set_state()
+  // before the first draw.
   struct Unseeded {};
   explicit Mt19937(Unseeded) {}
+  friend class MtgpStream;
 
   static constexpr std::uint32_t temper(std::uint32_t y) {
     y ^= y >> 11;

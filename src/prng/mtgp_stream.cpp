@@ -17,6 +17,17 @@ MtgpStream::MtgpStream(std::size_t groups, std::uint64_t seed, Generator generat
   }
 }
 
+MtgpStream::MtgpStream(std::size_t groups, std::uint64_t seed, Generator generator,
+                       const MtgpStreamState& state)
+    : generator_(generator), seed_(seed) {
+  if (generator_ == Generator::kMtgp) {
+    mt_.assign(groups, Mt19937(Mt19937::Unseeded{}));
+  } else {
+    philox_streams_ = groups;
+  }
+  restore_state(state);
+}
+
 namespace {
 
 /// Next out.size() U(0,1) variates of `gen`, in draw order.

@@ -84,6 +84,13 @@ class MtgpStream {
   MtgpStream(std::size_t groups, std::uint64_t seed,
              Generator generator = Generator::kMtgp);
 
+  /// The stream MtgpStream(groups, seed, generator) followed by
+  /// restore_state(state) would give, without seeding: the generators are
+  /// built unseeded and restore_state() fills and validates them (same
+  /// std::invalid_argument on a mismatch).
+  MtgpStream(std::size_t groups, std::uint64_t seed, Generator generator,
+             const MtgpStreamState& state);
+
   [[nodiscard]] std::size_t group_count() const noexcept { return mt_.size() ? mt_.size() : philox_streams_; }
   [[nodiscard]] Generator generator() const noexcept { return generator_; }
 

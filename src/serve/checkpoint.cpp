@@ -1,5 +1,6 @@
 #include "serve/checkpoint.hpp"
 
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -12,16 +13,35 @@ constexpr std::uint8_t kMagic[4] = {'E', 'S', 'C', 'P'};
 constexpr std::size_t kFixedHeaderBytes = 4 + 4 + 4 + 4 + 6 * 8;
 constexpr std::size_t kChecksumBytes = 8;
 
-/// FNV-1a 64-bit over a byte range: tiny, dependency-free, and plenty to
-/// catch the truncation/bit-rot failure modes checkpoints face (this is an
-/// integrity check, not an authenticity one).
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
+constexpr std::uint32_t kCheckpointV1 = 1;
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
+
+/// The version-1 checksum: FNV-1a 64 over a byte range, one byte at a
+/// time. Only read-side now (see the layout comment in checkpoint.hpp).
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
     h *= 0x100000001b3ull;
   }
   return h;
+}
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  if constexpr (kLittleEndian) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  return v;
+}
+
+/// SplitMix64's finalizer: a bijection of u64 with full avalanche.
+constexpr std::uint64_t mix64(std::uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
 }
 
 /// Append-only little-endian byte writer.
@@ -39,6 +59,13 @@ class Writer {
   void u64(std::uint64_t v) {
     for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
   }
+  void u32s(std::span<const std::uint32_t> words) {
+    if constexpr (kLittleEndian) {
+      bytes(words.data(), words.size_bytes());
+    } else {
+      for (const std::uint32_t word : words) u32(word);
+    }
+  }
 
  private:
   std::vector<std::uint8_t>& out_;
@@ -52,6 +79,7 @@ class Reader {
 
   void bytes(void* p, std::size_t n, const char* field) {
     need(n, field);
+    if (n == 0) return;  // p may be null (an empty array)
     std::memcpy(p, blob_.data() + pos_, n);
     pos_ += n;
   }
@@ -68,6 +96,13 @@ class Reader {
     for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(blob_[pos_ + i]) << (8 * i);
     pos_ += 8;
     return v;
+  }
+  void u32s(std::span<std::uint32_t> words, const char* field) {
+    if constexpr (kLittleEndian) {
+      bytes(words.data(), words.size_bytes(), field);
+    } else {
+      for (std::uint32_t& word : words) word = u32(field);
+    }
   }
   [[nodiscard]] std::size_t position() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return blob_.size() - pos_; }
@@ -104,6 +139,30 @@ prng::Generator generator_from_code(std::uint32_t code) {
 
 }  // namespace
 
+std::uint64_t checkpoint_checksum(std::span<const std::uint8_t> bytes) {
+  // Four independent multiply chains keep the multiplier busy; the rotate
+  // feeds each product's well-mixed high bits back into the low bits the
+  // next multiply spreads upward.
+  constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ull;
+  const auto lane_step = [](std::uint64_t h, std::uint64_t word) {
+    return std::rotl((h ^ word) * kOdd, 31);
+  };
+  std::uint64_t lanes[4] = {0x243f6a8885a308d3ull, 0x13198a2e03707344ull,
+                            0xa4093822299f31d0ull, 0x082efa98ec4e6c89ull};
+  const std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (std::size_t l = 0; l < 4; ++l) lanes[l] = lane_step(lanes[l], load_le64(p + i + 8 * l));
+  }
+  for (std::size_t l = 0; i + 8 <= n; i += 8, ++l) lanes[l] = lane_step(lanes[l], load_le64(p + i));
+  std::uint64_t tail = 0;
+  for (std::size_t b = 0; i + b < n; ++b) tail |= static_cast<std::uint64_t>(p[i + b]) << (8 * b);
+  std::uint64_t h = mix64(mix64(n) ^ tail);
+  for (const std::uint64_t lane : lanes) h = mix64(h ^ lane);
+  return h;
+}
+
 template <typename T>
 std::vector<std::uint8_t> encode_checkpoint(const core::FilterState<T>& state) {
   std::vector<std::uint8_t> out;
@@ -122,12 +181,12 @@ std::vector<std::uint8_t> encode_checkpoint(const core::FilterState<T>& state) {
   w.u64(state.step);
   w.u64(state.rng.round);
   w.u64(state.rng.mt_words.size());
-  for (const std::uint32_t word : state.rng.mt_words) w.u32(word);
+  w.u32s(state.rng.mt_words);
   w.bytes(state.state.data(), state.state.size() * sizeof(T));
   w.bytes(state.log_weights.data(), state.log_weights.size() * sizeof(T));
   w.bytes(state.estimate.data(), state.estimate.size() * sizeof(T));
   w.bytes(&state.estimate_log_weight, sizeof(T));
-  w.u64(fnv1a64(out.data(), out.size()));
+  w.u64(checkpoint_checksum(out));
   return out;
 }
 
@@ -152,9 +211,10 @@ core::FilterState<T> decode_checkpoint(std::span<const std::uint8_t> blob) {
                           "-byte minimum");
   }
   const std::uint32_t version = checkpoint_version(blob);
-  if (version != kCheckpointVersion) {
+  if (version != kCheckpointVersion && version != kCheckpointV1) {
     throw CheckpointError("checkpoint format version " + std::to_string(version) +
-                          " is not supported (this build reads version " +
+                          " is not supported (this build reads versions " +
+                          std::to_string(kCheckpointV1) + " and " +
                           std::to_string(kCheckpointVersion) + ")");
   }
   const std::size_t payload = blob.size() - kChecksumBytes;
@@ -163,7 +223,9 @@ core::FilterState<T> decode_checkpoint(std::span<const std::uint8_t> blob) {
     Reader tail(blob.subspan(payload));
     stored = tail.u64("checksum");
   }
-  const std::uint64_t computed = fnv1a64(blob.data(), payload);
+  const std::uint64_t computed = version == kCheckpointV1
+                                     ? fnv1a64(blob.first(payload))
+                                     : checkpoint_checksum(blob.first(payload));
   if (stored != computed) {
     throw CheckpointError("checkpoint checksum mismatch (blob is corrupt)");
   }
@@ -195,8 +257,18 @@ core::FilterState<T> decode_checkpoint(std::span<const std::uint8_t> blob) {
   if (words > r.remaining() / 4) {
     throw CheckpointError("checkpoint truncated: rng words extent overruns blob");
   }
+  // An MTGP stream holds one MT state (624 words + index) per sub-filter,
+  // a Philox stream none; anything else could never be restored.
+  constexpr std::uint64_t kWordsPerGroup = prng::Mt19937::kStateWords + 1;
+  if (s.rng.generator == prng::Generator::kMtgp
+          ? words % kWordsPerGroup != 0 || words / kWordsPerGroup != s.num_filters
+          : words != 0) {
+    throw CheckpointError("checkpoint corrupt: " + std::to_string(words) +
+                          " rng words do not fit its generator core and " +
+                          std::to_string(s.num_filters) + " sub-filters");
+  }
   s.rng.mt_words.resize(static_cast<std::size_t>(words));
-  for (auto& word : s.rng.mt_words) word = r.u32("rng words");
+  r.u32s(s.rng.mt_words, "rng words");
   if (r.remaining() % sizeof(T) != 0) {
     throw CheckpointError(
         "checkpoint truncated or corrupt: particle payload of " +

@@ -18,16 +18,36 @@
 //           ...       N*m     scalars: log-weights
 //           ...       dim     scalars: estimate
 //           ...       1       scalar:  estimate log-weight
-//   end-8   8     u64 FNV-1a checksum over every preceding byte
+//   end-8   8     u64 checksum over every preceding byte
+//
+// Checksum (version 2, checkpoint_checksum): the bytes are read as
+// little-endian u64 words, word i going to lane i % 4 of four interleaved
+// lanes, each updated as h = rotl((h ^ word) * K, 31) with K odd. The last
+// n % 8 bytes form one zero-padded tail word. The result is
+// mix(... mix(mix(mix(n) ^ tail) ^ lane0) ... ^ lane3), mix being the
+// bijective SplitMix64 finalizer. Every step is a bijection of the value
+// it folds in, so any change confined to one 8-byte word - in particular
+// any single flipped bit - always changes the checksum, by construction;
+// folding in n separates blobs that differ only by trailing zero bytes.
+// On a little-endian host the MT words are copied with one memcpy each
+// way (the scalar arrays always are).
+//
+// Version 1 has the identical layout with an FNV-1a 64 trailer, hashed one
+// byte at a time. decode_checkpoint() still reads version-1 blobs, choosing
+// the checksum from the version field, so spill files written by an earlier
+// build restore after an upgrade; encode_checkpoint() writes only version 2.
+// Version-1 support is removed in the first release after 1.0.x.
 //
 // decode_checkpoint() refuses, with a CheckpointError naming the cause:
 // blobs shorter than the fixed header (truncated), wrong magic, a version
-// other than kCheckpointVersion (refusal, never a silent best-effort
+// other than 1 or kCheckpointVersion (refusal, never a silent best-effort
 // parse), a scalar width not matching T, declared array extents that
-// overrun the blob (truncation/corruption), trailing garbage, and any
+// overrun the blob (truncation/corruption), an rng word count that does
+// not fit the generator core and N, trailing garbage, and any
 // checksum mismatch (bit corruption). Restores are bit-identical:
-// encode(decode(b)) == b and a restored filter reproduces the source
-// filter's estimate trajectory exactly (test-enforced).
+// encode(decode(b)) == b for a current-version b, and a restored filter
+// reproduces the source filter's estimate trajectory exactly
+// (test-enforced).
 #pragma once
 
 #include <cstdint>
@@ -39,8 +59,9 @@
 
 namespace esthera::serve {
 
-/// Current (and only) checkpoint format version.
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/// Format version encode_checkpoint() writes. decode_checkpoint() reads
+/// it and version 1 (see the layout comment above).
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Raised on any malformed, truncated, corrupt, or incompatible blob.
 class CheckpointError : public std::runtime_error {
@@ -59,6 +80,11 @@ template <typename T>
 template <typename T>
 [[nodiscard]] core::FilterState<T> decode_checkpoint(
     std::span<const std::uint8_t> blob);
+
+/// The version-2 checksum of `bytes` (see the layout comment above). A
+/// blob's trailer is the checksum of everything before it; tests that
+/// mutate header fields re-sign blobs with this.
+[[nodiscard]] std::uint64_t checkpoint_checksum(std::span<const std::uint8_t> bytes);
 
 /// Peeks the format version of a blob (for diagnostics); throws
 /// CheckpointError when the blob is too short to carry one or the magic

@@ -19,8 +19,9 @@
 //     -> waits for the session to leave any in-flight batch, serializes
 //        particle store + RNG stream + step index to a versioned blob
 //   restore_session(model, config, blob)
-//     -> decodes + validates the blob, opens a session that continues the
-//        source trajectory bit-identically
+//     -> decodes + validates the blob against the model and config, then
+//        opens a session whose filter is built straight from the snapshot
+//        and continues the source trajectory bit-identically
 //   drain()
 //     -> stops admission (kDraining) and runs batches until empty
 //
@@ -221,21 +222,40 @@ class SessionManager {
 
   /// Opens a session continuing the trajectory serialized in `blob`
   /// (produced by checkpoint()/evict()). `model` and `fcfg` must match the
-  /// source session: the blob validates shape, scalar width, and PRNG core
-  /// and throws CheckpointError / std::invalid_argument on any mismatch or
-  /// corruption. The restored session's next step is bit-identical to the
-  /// step the source session would have taken.
+  /// source session: a corrupt blob, or a valid one whose scalar width,
+  /// shape (m, N, state_dim) or PRNG core differs from `model` and `fcfg`,
+  /// throws CheckpointError (an invalid `fcfg` still throws
+  /// std::invalid_argument). The restored session's next step is
+  /// bit-identical to the step the source session would have taken.
   [[nodiscard]] OpenResult restore_session(Model model, core::FilterConfig fcfg,
                                            std::span<const std::uint8_t> blob,
                                            std::uint64_t tenant = 0) {
     const core::FilterState<T> state = decode_checkpoint<T>(blob);
+    if (state.particles_per_filter != fcfg.particles_per_filter ||
+        state.num_filters != fcfg.num_filters ||
+        state.state_dim != model.state_dim() ||
+        state.rng.generator != fcfg.generator) {
+      const auto shape = [](std::uint64_t m, std::uint64_t n, std::uint64_t dim,
+                            prng::Generator g) {
+        return "(m=" + std::to_string(m) + ", N=" + std::to_string(n) +
+               ", dim=" + std::to_string(dim) +
+               (g == prng::Generator::kMtgp ? ", MTGP)" : ", Philox)");
+      };
+      throw CheckpointError(
+          "checkpoint " +
+          shape(state.particles_per_filter, state.num_filters, state.state_dim,
+                state.rng.generator) +
+          " does not match the session " +
+          shape(fcfg.particles_per_filter, fcfg.num_filters, model.state_dim(),
+                fcfg.generator));
+    }
     std::unique_lock lock(mutex_);
     if (const Admission a = admit_session_locked(); a != Admission::kAccepted) {
       return {note_reject(a), 0};
     }
-    auto filter = std::make_unique<Filter>(std::move(model), fcfg, device_);
-    filter->import_state(state);
-    return insert_session_locked(std::move(filter), fcfg, cnt_restored_, tenant);
+    return insert_session_locked(
+        std::make_unique<Filter>(std::move(model), fcfg, device_, state), fcfg,
+        cnt_restored_, tenant);
   }
 
   /// Closes a session, dropping any requests still queued on it. Returns

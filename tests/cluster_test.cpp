@@ -327,6 +327,68 @@ TEST(Cluster, CorruptSpillFileRejectsStructuredNotCrash) {
   ::rmdir(dir_template);
 }
 
+// A spill file holding a valid blob of another session's shape (a swapped
+// file, or two clusters sharing one spill dir) passes the checksum; the
+// restore must still end in a structured kRestoreFailed with the blob kept
+// in the store, not an exception out of submit() that loses the blob.
+TEST(Cluster, SwappedSpillFilesOfOtherShapeRejectStructuredAndKeepBlobs) {
+  const Traffic traffic(55, 3);
+  char dir_template[] = "/tmp/esthera_spill_swap_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir_template), nullptr);
+  serve::ClusterConfig ccfg;
+  ccfg.shards = 2;
+  ccfg.spill.dir = dir_template;
+  Cluster cluster(ccfg);
+  // m=32 x N=8 and m=64 x N=4 on the stateless Philox core: equal blob
+  // sizes, so the store's size bookkeeping cannot tell the files apart.
+  std::vector<core::FilterConfig> cfgs(2, small_config(56));
+  cfgs[0].particles_per_filter = 32;
+  cfgs[0].num_filters = 8;
+  cfgs[1].particles_per_filter = 64;
+  cfgs[1].num_filters = 4;
+  std::vector<Cluster::SessionId> ids;
+  std::vector<std::string> paths;
+  for (auto& cfg : cfgs) {
+    cfg.generator = prng::Generator::kPhilox;
+    const auto o = cluster.open_session(make_model(55), cfg);
+    ASSERT_TRUE(o.ok());
+    ASSERT_TRUE(cluster.submit(o.id, traffic.z[0], traffic.u[0]).ok());
+    while (cluster.pump() > 0) {
+    }
+    ASSERT_TRUE(cluster.spill_session(o.id));
+    ids.push_back(o.id);
+    paths.push_back(cluster.spill_store().path_for(o.id));
+  }
+  const auto swap_files = [&] {
+    const std::string tmp = paths[0] + ".swap";
+    ASSERT_EQ(std::rename(paths[0].c_str(), tmp.c_str()), 0);
+    ASSERT_EQ(std::rename(paths[1].c_str(), paths[0].c_str()), 0);
+    ASSERT_EQ(std::rename(tmp.c_str(), paths[1].c_str()), 0);
+  };
+  swap_files();
+  for (std::size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(cluster.submit(ids[s], traffic.z[1], traffic.u[1]).admission,
+              serve::Admission::kRestoreFailed);
+    EXPECT_TRUE(*cluster.spilled(ids[s]));
+    EXPECT_TRUE(cluster.spill_store().contains(ids[s]));
+    EXPECT_TRUE(std::ifstream(paths[s]).good());
+  }
+  // Nothing was lost: with the files back in place both sessions resume
+  // exactly where a never-spilled filter would be.
+  swap_files();
+  for (std::size_t s = 0; s < 2; ++s) {
+    ASSERT_TRUE(cluster.submit(ids[s], traffic.z[1], traffic.u[1]).ok());
+    while (cluster.pump() > 0) {
+    }
+    ArmFilter direct(make_model(55), cfgs[s]);
+    for (std::size_t k = 0; k < 2; ++k) direct.step(traffic.z[k], traffic.u[k]);
+    const auto est = direct.estimate();
+    EXPECT_EQ(*cluster.estimate(ids[s]), std::vector<float>(est.begin(), est.end()));
+  }
+  cluster.drain();
+  ::rmdir(dir_template);
+}
+
 TEST(Cluster, SpillBudgetRefusalKeepsSessionResident) {
   const Traffic traffic(60, 3);
   telemetry::Telemetry tel;

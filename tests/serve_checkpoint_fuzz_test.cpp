@@ -51,20 +51,12 @@ std::vector<std::uint8_t> valid_blob() {
   return serve::encode_checkpoint<float>(pf.export_state());
 }
 
-/// Same FNV-1a 64 the encoder uses, so field mutations can re-sign the
-/// blob and reach the structural validation behind the checksum gate.
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
+/// Re-signs the blob through the encoder's own checksum, so field mutations
+/// reach the structural validation behind the checksum gate.
 void resign(std::vector<std::uint8_t>& blob) {
   ASSERT_GE(blob.size(), 8u);
-  const std::uint64_t sum = fnv1a64(blob.data(), blob.size() - 8);
+  const std::uint64_t sum =
+      serve::checkpoint_checksum(std::span(blob).first(blob.size() - 8));
   for (int b = 0; b < 8; ++b) {
     blob[blob.size() - 8 + static_cast<std::size_t>(b)] =
         static_cast<std::uint8_t>(sum >> (8 * b));

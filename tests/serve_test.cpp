@@ -152,13 +152,13 @@ TEST(ServeCheckpoint, CorruptBlobFailsChecksum) {
 TEST(ServeCheckpoint, VersionMismatchIsRefusedNotParsed) {
   ArmFilter pf(make_model(7), small_config());
   auto blob = serve::encode_checkpoint<float>(pf.export_state());
-  blob[4] = 2;  // little-endian version field follows the 4-byte magic
+  blob[4] = 3;  // little-endian version field follows the 4-byte magic
   EXPECT_THROW(
       {
         try {
           (void)serve::decode_checkpoint<float>(blob);
         } catch (const serve::CheckpointError& e) {
-          EXPECT_NE(std::string(e.what()).find("version 2"), std::string::npos);
+          EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos);
           throw;
         }
       },
@@ -173,26 +173,17 @@ TEST(ServeCheckpoint, ScalarWidthMismatchIsRefused) {
   EXPECT_THROW((void)serve::decode_checkpoint<double>(blob), serve::CheckpointError);
 }
 
-/// Same FNV-1a as the encoder: needed to re-sign blobs whose header
-/// fields the tests below deliberately corrupt, so the corruption reaches
-/// the extent guards instead of being caught by the checksum first.
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
 void patch_u64_and_resign(std::vector<std::uint8_t>& blob, std::size_t offset,
                           std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     blob[offset + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));
   }
+  // Re-signed through the encoder's own checksum so the corrupted header
+  // fields reach the extent guards instead of being caught by the checksum.
   const std::size_t payload = blob.size() - 8;
-  const std::uint64_t sum = fnv1a64(blob.data(), payload);
+  const std::uint64_t sum =
+      serve::checkpoint_checksum(std::span(blob).first(payload));
   for (int i = 0; i < 8; ++i) {
     blob[payload + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(sum >> (8 * i));
@@ -230,6 +221,58 @@ TEST(ServeCheckpoint, ImportRejectsShapeMismatch) {
   state.particles_per_filter = 32;  // no longer matches this filter
   ArmFilter other(make_model(7), small_config());
   EXPECT_THROW(other.import_state(state), std::invalid_argument);
+}
+
+// The snapshot constructor is construct-then-import_state() without the
+// seeding and prior draw: 20 post-restore estimates must match bit for bit
+// across generator cores, backends and roughening.
+TEST(ServeCheckpoint, SnapshotConstructorMatchesConstructThenImport) {
+  const Traffic traffic(8, 24);
+  for (const auto generator : {prng::Generator::kMtgp, prng::Generator::kPhilox}) {
+    for (const auto backend : {device::Backend::kScalar, device::Backend::kSimd}) {
+      for (const double roughening : {0.0, 0.2}) {
+        core::FilterConfig cfg = small_config();
+        cfg.generator = generator;
+        cfg.backend = backend;
+        cfg.roughening_k = roughening;
+        ArmFilter source(make_model(8), cfg);
+        for (std::size_t k = 0; k < 4; ++k) source.step(traffic.z[k], traffic.u[k]);
+        const auto state = source.export_state();
+
+        ArmFilter imported(make_model(8), cfg);
+        imported.import_state(state);
+        ArmFilter built(make_model(8), cfg, std::make_shared<device::Device>(1), state);
+        EXPECT_EQ(built.step_index(), 4u);
+        EXPECT_EQ(estimates_concat(built, traffic, 4, 24),
+                  estimates_concat(imported, traffic, 4, 24))
+            << "generator " << static_cast<int>(generator) << " backend "
+            << static_cast<int>(backend) << " roughening " << roughening;
+      }
+    }
+  }
+}
+
+TEST(ServeCheckpoint, SnapshotConstructorRejectsMismatchLikeImport) {
+  ArmFilter pf(make_model(7), small_config());
+  const auto dev = std::make_shared<device::Device>(1);
+  auto wrong_m = pf.export_state();
+  wrong_m.particles_per_filter = 32;
+  auto wrong_n = pf.export_state();
+  wrong_n.num_filters = 8;
+  wrong_n.rng.groups = 8;
+  core::FilterConfig philox = small_config();
+  philox.generator = prng::Generator::kPhilox;
+  ArmFilter other(make_model(7), small_config());
+  ArmFilter other_philox(make_model(7), philox);
+  EXPECT_THROW(other.import_state(wrong_m), std::invalid_argument);
+  EXPECT_THROW(ArmFilter(make_model(7), small_config(), dev, wrong_m),
+               std::invalid_argument);
+  EXPECT_THROW(other.import_state(wrong_n), std::invalid_argument);
+  EXPECT_THROW(ArmFilter(make_model(7), small_config(), dev, wrong_n),
+               std::invalid_argument);
+  EXPECT_THROW(other_philox.import_state(pf.export_state()), std::invalid_argument);
+  EXPECT_THROW(ArmFilter(make_model(7), philox, dev, pf.export_state()),
+               std::invalid_argument);
 }
 
 TEST(ServeConfig, ValidationRejectsInconsistentBounds) {
