@@ -32,7 +32,7 @@
 
 #include "core/config.hpp"
 #include "core/particle_store.hpp"
-#include "core/stage_timers.hpp"
+#include "core/stage_probe.hpp"
 #include "device/device.hpp"
 #include "models/model.hpp"
 #include "prng/mtgp_stream.hpp"
@@ -103,7 +103,7 @@ class BaselineDistributedFilter {
 
   [[nodiscard]] std::span<const T> estimate() const { return estimate_; }
   [[nodiscard]] std::size_t particle_count() const { return n_total_; }
-  [[nodiscard]] StageTimers& timers() { return timers_; }
+  [[nodiscard]] StageTimers& timers() { return probe_.timers(); }
   [[nodiscard]] BaselineKind kind() const { return opts_.kind; }
 
   void initialize() {
@@ -122,11 +122,11 @@ class BaselineDistributedFilter {
 
   void step(std::span<const T> z, std::span<const T> u = {}) {
     {
-      ScopedStageTimer timer(timers_, Stage::kRand);
+      const auto stage = probe_.stage(Stage::kRand);
       stream_.fill(dev_->pool(), rand_);
     }
     {
-      ScopedStageTimer timer(timers_, Stage::kSampling);
+      const auto stage = probe_.stage(Stage::kSampling);
       const std::size_t nd = model_.noise_dim();
       dev_->launch(n_filters_, [&](std::size_t g) {
         const auto normals = rand_.group_normals(g);
@@ -140,11 +140,11 @@ class BaselineDistributedFilter {
       cur_.swap(aux_);
     }
     {
-      ScopedStageTimer timer(timers_, Stage::kGlobalEstimate);
+      const auto stage = probe_.stage(Stage::kGlobalEstimate);
       update_estimate();
     }
     {
-      ScopedStageTimer timer(timers_, Stage::kResampling);
+      const auto stage = probe_.stage(Stage::kResampling);
       switch (opts_.kind) {
         case BaselineKind::kGdpf: resample_central(); break;
         case BaselineKind::kCdpf: resample_compressed(); break;
@@ -307,7 +307,7 @@ class BaselineDistributedFilter {
   std::vector<T> cumsum_;
   std::vector<std::uint32_t> indices_;
   std::vector<T> estimate_;
-  StageTimers timers_;
+  StageProbe probe_;  // detached: stage timers only
   std::size_t step_ = 0;
 };
 

@@ -7,17 +7,15 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <string>
 #include <span>
 #include <vector>
 
 #include "core/config.hpp"
 #include "core/particle_store.hpp"
-#include "core/stage_timers.hpp"
+#include "core/stage_probe.hpp"
 #include "device/backend.hpp"
 #include "device/invariants.hpp"
 #include "estimation/diagnostics.hpp"
@@ -114,37 +112,14 @@ class CentralizedParticleFilter {
         loglik_(n_particles),
         estimate_(model_.state_dim(), T(0)),
         backend_(device::resolve_backend(options.backend)),
-        ops_(&device::lane_ops<T>(backend_)) {
+        ops_(&device::lane_ops<T>(backend_)),
+        metropolis_steps_(options.metropolis_steps > 0
+                              ? options.metropolis_steps
+                              : resample::metropolis_default_steps(n_particles)),
+        probe_(options.telemetry, StageProbe::Filter::kCentralized, 1, n_particles),
+        mon_(options.monitor) {
     assert(n_ > 0);
-    tel_ = opts_.telemetry;
-    mon_ = opts_.monitor;
-    if (tel_ != nullptr) {
-      for (const Stage s :
-           {Stage::kSampling, Stage::kGlobalEstimate, Stage::kResampling}) {
-        stage_hist_[static_cast<std::size_t>(s)] = &tel_->registry.histogram(
-            std::string("stage.") + StageTimers::key(s));
-      }
-      tel_->registry.gauge("filter.particles").set(static_cast<double>(n_));
-      // Deterministic work counters (the sequential filter has no barriers
-      // or sort network; RNG draws and scan sweeps are its cost proxies).
-      cnt_rng_ = &tel_->registry.counter("work.rng_draws");
-      cnt_scan_ = &tel_->registry.counter("work.scan_sweeps");
-      cnt_metropolis_ = &tel_->registry.counter("work.metropolis_steps");
-      cnt_rejection_ = &tel_->registry.counter("work.rejection_trials");
-      // Hardware-counter attribution for the three stages this filter has.
-      tel_->registry.gauge("profile.mode")
-          .set(static_cast<double>(tel_->profile.mode()));
-      tel_->registry.gauge("profile.unavailable")
-          .set(tel_->profile.unavailable_reason().empty() ? 0.0 : 1.0);
-      if (tel_->profile.enabled()) {
-        prof_ = &tel_->profile;
-        for (const Stage s :
-             {Stage::kSampling, Stage::kGlobalEstimate, Stage::kResampling}) {
-          stage_accum_[static_cast<std::size_t>(s)] = &prof_->accumulator(
-              std::string("stage.") + StageTimers::key(s));
-        }
-      }
-    }
+    probe_.publish("filter.particles", static_cast<double>(n_));
     initialize();
   }
 
@@ -166,17 +141,9 @@ class CentralizedParticleFilter {
   /// passive; estimates are bit-identical with and without it).
   void step(std::span<const T> z, std::span<const T> u = {},
             const telemetry::TraceContext* ctx = nullptr) {
-    telemetry::TraceRecorder* trace = tel_ ? &tel_->trace : nullptr;
-    telemetry::ScopedSpan round(trace, "step", 0, 1, step_,
-                                ctx != nullptr ? ctx->track : 0, ctx);
-    const telemetry::TraceContext& round_ctx = round.child_context();
-    const telemetry::TraceContext* stage_ctx = round_ctx ? &round_ctx : nullptr;
-    const std::uint32_t stage_track = round_ctx ? round_ctx.track : 0;
+    const auto round = probe_.round(step_, ctx);
     {
-      telemetry::ScopedSpan span(trace, "sampling+weighting", 0, 1, step_,
-                                 stage_track, stage_ctx);
-      auto timer = stage_timer(Stage::kSampling);
-      auto pscope = stage_profile(Stage::kSampling);
+      const auto stage = probe_.stage(Stage::kSampling, "sampling+weighting");
       if (opts_.move_steps > 0) {
         // Keep x_{k-1}: the move step proposes fresh transitions from the
         // predecessor of each resampled particle's parent.
@@ -212,25 +179,38 @@ class CentralizedParticleFilter {
       }
     }
     {
-      telemetry::ScopedSpan span(trace, "global estimate", 0, 1, step_,
-                                 stage_track, stage_ctx);
-      auto timer = stage_timer(Stage::kGlobalEstimate);
-      auto pscope = stage_profile(Stage::kGlobalEstimate);
+      const auto stage = probe_.stage(Stage::kGlobalEstimate, "global estimate");
       update_estimate();
     }
     bool resampled = false;
     {
-      telemetry::ScopedSpan span(trace, "resampling", 0, 1, step_,
-                                 stage_track, stage_ctx);
-      auto timer = stage_timer(Stage::kResampling);
-      auto pscope = stage_profile(Stage::kResampling);
+      const auto stage = probe_.stage(Stage::kResampling, "resampling");
       resampled = maybe_resample();
       if (resampled && opts_.move_steps > 0) {
         apply_move_steps(z, u);
       }
     }
-    if (tel_ != nullptr) record_step_telemetry(resampled);
-    if (mon_ != nullptr) record_step_monitor(resampled);
+    if (probe_.attached() || mon_ != nullptr) {
+      // Passive reads of the already-normalized weights_ and the resampled
+      // indices_, shared by both consumers.
+      const double entropy = estimation::weight_entropy<T>(std::span<const T>(weights_));
+      double unique = 1.0;  // a skipped round keeps every particle's own parent
+      if (resampled) {
+        unique_scratch_.resize(n_);
+        unique = estimation::unique_parent_fraction(
+            std::span<const std::uint32_t>(indices_),
+            std::span<std::uint32_t>(unique_scratch_));
+      }
+      if (probe_.attached()) {
+        auto& series = probe_.telemetry()->series;
+        series.record(step_, "ess", ess_);
+        series.record(step_, "entropy", entropy);
+        series.record(step_, "unique_parent", unique);
+        probe_.count({.steps = 1, .degenerate = degenerate_, .skipped = !resampled});
+        probe_.end_step();
+      }
+      if (mon_ != nullptr) record_step_monitor(resampled, entropy, unique);
+    }
     ++step_;
   }
 
@@ -250,73 +230,21 @@ class CentralizedParticleFilter {
   /// Mutable model access for time-varying model state (e.g. the
   /// bearings-only observer position, updated before each step()).
   [[nodiscard]] Model& model_mutable() { return model_; }
-  [[nodiscard]] StageTimers& timers() { return timers_; }
+  [[nodiscard]] StageTimers& timers() { return probe_.timers(); }
   [[nodiscard]] const ParticleStore<T>& particles() const { return cur_; }
 
  private:
-  /// Stage timer that also feeds the registry "stage.<key>" histogram when
-  /// telemetry is attached (the cached pointer is null otherwise).
-  [[nodiscard]] ScopedStageTimer stage_timer(Stage stage) {
-    return ScopedStageTimer(timers_, stage,
-                            stage_hist_[static_cast<std::size_t>(stage)]);
-  }
-
-  /// Hardware/task-clock sampling scope for a stage (inert when the
-  /// profiler is off; see distributed_pf.hpp).
-  [[nodiscard]] profile::Scope stage_profile(Stage stage) {
-    return profile::Scope(
-        prof_, prof_ ? stage_accum_[static_cast<std::size_t>(stage)] : nullptr);
-  }
-
-  /// Per-step series + counters; called only when tel_ != nullptr, after
-  /// the resampling stage and before step_ advances. Purely passive: reads
-  /// the already-normalized weights_ and the resampled indices_.
-  void record_step_telemetry(bool resampled) {
-    auto& series = tel_->series;
-    series.record(step_, "ess", ess_);
-    series.record(step_, "entropy",
-                  estimation::weight_entropy<T>(std::span<const T>(weights_)));
-    double unique = 1.0;  // a skipped round keeps every particle's own parent
-    if (resampled) {
-      unique_scratch_.resize(n_);
-      unique = estimation::unique_parent_fraction(
-          std::span<const std::uint32_t>(indices_),
-          std::span<std::uint32_t>(unique_scratch_));
-    }
-    series.record(step_, "unique_parent", unique);
-    auto& reg = tel_->registry;
-    reg.counter("steps").add(1);
-    if (degenerate_) reg.counter("resample.degenerate").add(1);
-    if (!resampled) reg.counter("resample.skipped").add(1);
-  }
-
   /// Per-step monitor probes; called only when mon_ != nullptr, after the
   /// resampling stage. Purely passive: reads diagnostics already computed.
-  void record_step_monitor(bool resampled) {
+  void record_step_monitor(bool resampled, double entropy, double unique) {
     const double log_n = n_ > 1 ? std::log(static_cast<double>(n_)) : 0.0;
-    const double entropy = static_cast<double>(
-        estimation::weight_entropy<T>(std::span<const T>(weights_)));
-    double unique = 1.0;
-    if (resampled) {
-      unique_scratch_.resize(n_);
-      unique = estimation::unique_parent_fraction(
-          std::span<const std::uint32_t>(indices_),
-          std::span<std::uint32_t>(unique_scratch_));
-    }
     mon_->observe_group(step_, 0, ess_ / static_cast<double>(n_), unique,
                         log_n > 0.0 ? entropy / log_n : 1.0, degenerate_,
                         nonfinite_weights_);
     if (resampled && !degenerate_ &&
         opts_.resample == ResampleAlgorithm::kMetropolis) {
-      // Weight skew beta = n * w_max / W; max-normalization pins w_max to 1.
-      double wsum = 0.0;
-      for (const T w : weights_) wsum += static_cast<double>(w);
-      const double beta =
-          wsum > 0.0 ? static_cast<double>(n_) / wsum : static_cast<double>(n_);
-      const std::size_t steps = opts_.metropolis_steps > 0
-                                    ? opts_.metropolis_steps
-                                    : resample::metropolis_default_steps(n_);
-      mon_->observe_metropolis(step_, 0, beta, steps);
+      mon_->observe_metropolis(step_, 0, estimation::weight_skew<T>(weights_),
+                               metropolis_steps_);
     }
   }
 
@@ -325,15 +253,7 @@ class CentralizedParticleFilter {
   /// no particle carries a finite log-weight (weights_ is then uniform).
   std::size_t normalize_weights() {
     const auto lw = std::span<const T>(cur_.log_weights());
-    if (mon_ != nullptr) {
-      // Passive NaN-leak scan: NaN or +inf log-weights are anomalies
-      // (-inf is legitimate likelihood underflow).
-      std::uint64_t bad = 0;
-      for (const T v : lw) {
-        if (std::isnan(v) || (std::isinf(v) && v > T(0))) ++bad;
-      }
-      nonfinite_weights_ = bad;
-    }
+    if (mon_ != nullptr) nonfinite_weights_ = estimation::anomalous_log_weights(lw);
     degenerate_ = !resample::normalize_from_log<T>(lw, weights_);
     if (degenerate_) return 0;
     std::size_t best = 0;
@@ -396,7 +316,7 @@ class CentralizedParticleFilter {
     auto out = std::span<std::uint32_t>(indices_);
     const auto w = std::span<const T>(weights_);
     sortnet::NetCounters nc;
-    sortnet::NetCounters* ncp = cnt_scan_ ? &nc : nullptr;
+    sortnet::NetCounters* ncp = probe_.attached() ? &nc : nullptr;
     switch (opts_.resample) {
       case ResampleAlgorithm::kRws: {
         fill_uniforms(n_);
@@ -423,14 +343,9 @@ class CentralizedParticleFilter {
         break;
       }
       case ResampleAlgorithm::kMetropolis: {
-        const std::size_t steps =
-            opts_.metropolis_steps > 0
-                ? opts_.metropolis_steps
-                : resample::metropolis_default_steps(n_);
         resample::MetropolisCounters mc;
-        resample::metropolis_resample<T>(w, steps, rng_, out, &mc);
-        if (cnt_metropolis_) cnt_metropolis_->add(mc.steps);
-        note_rng(mc.rng_draws);
+        resample::metropolis_resample<T>(w, metropolis_steps_, rng_, out, &mc);
+        probe_.count({.rng_draws = mc.rng_draws, .metropolis_steps = mc.steps});
         break;
       }
       case ResampleAlgorithm::kRejection: {
@@ -439,21 +354,17 @@ class CentralizedParticleFilter {
         resample::rejection_resample<T>(w, T(1), rng_, out,
                                         resample::kRejectionDefaultMaxTrials,
                                         &rc);
-        if (cnt_rejection_) cnt_rejection_->add(rc.trials);
-        note_rng(rc.rng_draws);
+        probe_.count({.rng_draws = rc.rng_draws, .rejection_trials = rc.trials});
         break;
       }
     }
-    if (cnt_scan_) cnt_scan_->add(nc.scan_sweeps);
+    probe_.count({.scan_sweeps = nc.scan_sweeps});
     if (opts_.check_invariants) {
       debug::check_index_set(out, n_, 0);
       if (opts_.resample == ResampleAlgorithm::kMetropolis) {
         // Finite-B Metropolis is biased by design; validate against the
         // exact B-step chain distribution instead of the weights.
-        const std::size_t steps = opts_.metropolis_steps > 0
-                                      ? opts_.metropolis_steps
-                                      : resample::metropolis_default_steps(n_);
-        debug::check_metropolis_distribution<T>(w, out, steps, 0);
+        debug::check_metropolis_distribution<T>(w, out, metropolis_steps_, 0);
       } else {
         debug::check_resample_distribution<T>(w, out, 0);
       }
@@ -507,10 +418,8 @@ class CentralizedParticleFilter {
     note_rng(count);
   }
 
-  /// Folds `n` generated variates into work.rng_draws when telemetry is on.
-  void note_rng(std::uint64_t n) {
-    if (cnt_rng_) cnt_rng_->add(n);
-  }
+  /// Folds `n` generated variates into work.rng_draws.
+  void note_rng(std::uint64_t n) const { probe_.count({.rng_draws = n}); }
 
   [[nodiscard]] std::span<const T> uniform_scratch() const { return uniforms_; }
 
@@ -531,16 +440,9 @@ class CentralizedParticleFilter {
   const device::LaneOps<T>* ops_;
   resample::AliasTable<T> alias_;
   std::vector<T> prev_;  // x_{k-1} copy for the resample-move step
-  StageTimers timers_;
-  telemetry::Telemetry* tel_ = nullptr;
+  std::size_t metropolis_steps_;  // resolved chain length B
+  StageProbe probe_;  // stage timing, spans, profiling and work.* counters
   monitor::HealthMonitor* mon_ = nullptr;
-  telemetry::Counter* cnt_rng_ = nullptr;
-  telemetry::Counter* cnt_scan_ = nullptr;
-  telemetry::Counter* cnt_metropolis_ = nullptr;
-  telemetry::Counter* cnt_rejection_ = nullptr;
-  std::array<telemetry::LatencyHistogram*, kStageCount> stage_hist_{};
-  profile::Profiler* prof_ = nullptr;
-  std::array<profile::StageAccum*, kStageCount> stage_accum_{};
   std::vector<std::uint32_t> unique_scratch_;
   double ess_ = 0.0;
   bool degenerate_ = false;

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <string>
 
@@ -79,35 +78,6 @@ class StageTimers {
 
  private:
   std::array<telemetry::LatencyHistogram, kStageCount> histograms_{};
-};
-
-/// RAII timer adding its scope's duration to a stage; optionally mirrors
-/// the sample into a registry histogram (the filters pass their cached
-/// "stage.<key>" histogram when telemetry is attached, nullptr otherwise).
-class ScopedStageTimer {
- public:
-  ScopedStageTimer(StageTimers& timers, Stage stage,
-                   telemetry::LatencyHistogram* mirror = nullptr)
-      : timers_(timers),
-        stage_(stage),
-        mirror_(mirror),
-        start_(std::chrono::steady_clock::now()) {}
-
-  ~ScopedStageTimer() {
-    const auto end = std::chrono::steady_clock::now();
-    const double seconds = std::chrono::duration<double>(end - start_).count();
-    timers_.add(stage_, seconds);
-    if (mirror_) mirror_->record(seconds);
-  }
-
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  StageTimers& timers_;
-  Stage stage_;
-  telemetry::LatencyHistogram* mirror_;
-  std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace esthera::core

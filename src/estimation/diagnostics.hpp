@@ -29,6 +29,27 @@ double weight_entropy(std::span<const T> weights) {
   return h;
 }
 
+/// Count of NaN or +inf log-weights: anomalies for the health monitor
+/// (-inf is legitimate likelihood underflow).
+template <typename T>
+std::uint64_t anomalous_log_weights(std::span<const T> log_weights) {
+  std::uint64_t bad = 0;
+  for (const T v : log_weights) {
+    if (std::isnan(v) || (std::isinf(v) && v > T(0))) ++bad;
+  }
+  return bad;
+}
+
+/// Weight skew beta = n * w_max / W of max-normalized weights (w_max = 1):
+/// the Metropolis-bias detector's input. n when every weight is zero.
+template <typename T>
+double weight_skew(std::span<const T> weights) {
+  double total = 0.0;
+  for (const T w : weights) total += static_cast<double>(w);
+  const double n = static_cast<double>(weights.size());
+  return total > 0.0 ? n / total : n;
+}
+
 /// Fraction of distinct parents among resampled indices - a direct
 /// impoverishment measure: 1.0 means every child has its own parent,
 /// 1/n means the whole population collapsed onto one ancestor.

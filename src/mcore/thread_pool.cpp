@@ -29,7 +29,16 @@ void ThreadPool::execute_share(Job& job, std::size_t worker_index) {
     const std::size_t start = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
     if (start >= job.n) break;
     const std::size_t stop = std::min(start + job.chunk, job.n);
-    for (std::size_t i = start; i < stop; ++i) (*job.fn)(i, worker_index);
+    for (std::size_t i = start; i < stop; ++i) {
+      if (job.failed.load(std::memory_order_relaxed)) break;
+      try {
+        (*job.fn)(i, worker_index);
+      } catch (...) {
+        if (!job.failed.exchange(true, std::memory_order_relaxed)) {
+          job.error = std::current_exception();
+        }
+      }
+    }
     if (job.done.fetch_add(stop - start, std::memory_order_acq_rel) + (stop - start) ==
         job.n) {
       // Synchronize with the waiter before notifying: without taking the
@@ -94,6 +103,7 @@ void ThreadPool::run(std::size_t n,
     cv_done_.wait(lock, [&] { return job->done.load(std::memory_order_acquire) == n; });
     job_.reset();
   }
+  if (job->error) std::rethrow_exception(job->error);
 }
 
 namespace {

@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -47,6 +48,12 @@ class ThreadPool {
   /// Runs `fn(index, worker)` for each index in [0, n). Blocks until all
   /// indices completed. `chunk` indices are claimed at a time; larger chunks
   /// lower scheduling overhead, smaller chunks balance irregular work.
+  ///
+  /// If `fn` throws, on any thread, the first exception is captured and the
+  /// indices not yet started are skipped (counted, but `fn` is not called
+  /// for them). run() rethrows that exception on the caller only once every
+  /// worker has left the job, so no thread still touches `fn` afterwards
+  /// and the pool stays usable.
   void run(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
            std::size_t chunk = 1);
 
@@ -99,6 +106,11 @@ class ThreadPool {
     profile::ThreadShare share;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
+    // Set by the first throwing index; later indices are skipped. `error`
+    // is written only by the thread that set `failed`, before its
+    // acq_rel add to `done`, so the caller reads it after done == n.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;
   };
 
   void worker_loop(std::size_t worker_index);

@@ -5,8 +5,8 @@
 // branch on that pointer. When attached, a Telemetry instance aggregates
 //
 //   * registry  -- counters, gauges, and per-launch latency histograms
-//                  (the six "stage.*" histograms replace StageTimers'
-//                  sum-only accounting; StageTimers mirrors into them),
+//                  (the six "stage.*" histograms, fed with each filter's
+//                  StageTimers by core::StageProbe),
 //   * trace     -- one span per device kernel launch, exportable as
 //                  Chrome Trace Event JSON (chrome://tracing / Perfetto),
 //   * series    -- per-step signals: per-group ESS, unique-parent

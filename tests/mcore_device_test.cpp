@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -161,6 +165,50 @@ TEST(ThreadPool, ConcurrentPoolsDoNotInterfere) {
   tb.join();
   EXPECT_EQ(sa.load(), 500L * 120L);
   EXPECT_EQ(sb.load(), 500L * 120L);
+}
+
+TEST(ThreadPool, ThrowingIndexRethrowsOnCallerAndPoolStaysUsable) {
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    mcore::ThreadPool pool(workers);
+    const std::size_t n = 1000;
+    std::vector<std::atomic<int>> hits(n);
+    std::atomic<int> calls{0};
+    // The fn object dies when this scope ends: after run() returns no
+    // thread may still call it.
+    {
+      const std::function<void(std::size_t, std::size_t)> fn =
+          [&](std::size_t i, std::size_t) {
+            calls.fetch_add(1, std::memory_order_relaxed);
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            if (i == 37) throw std::runtime_error("index 37");
+          };
+      try {
+        pool.run(n, fn);
+        ADD_FAILURE() << "run() did not rethrow";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index 37");
+      }
+    }
+    const int after_run = calls.load();
+    EXPECT_EQ(hits[37].load(), 1);
+    EXPECT_LE(after_run, static_cast<int>(n));
+    for (std::size_t i = 0; i < n; ++i) EXPECT_LE(hits[i].load(), 1) << i;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(calls.load(), after_run) << "fn called after run() returned";
+
+    // Every index throwing: the caller's own throw and the workers' are
+    // all captured; exactly one comes back.
+    EXPECT_THROW(pool.run(64, [](std::size_t, std::size_t) {
+      throw std::logic_error("every index");
+    }),
+                 std::logic_error);
+
+    // Still usable: the next job runs every index exactly once.
+    std::vector<std::atomic<int>> again(n);
+    pool.run(n, [&](std::size_t i, std::size_t) { again[i].fetch_add(1); });
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(again[i].load(), 1) << i;
+  }
 }
 
 TEST(Device, LaunchCoversAllGroups) {

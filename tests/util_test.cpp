@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 
 #include "bench_util/cli.hpp"
 #include "bench_util/table.hpp"
 #include "core/config.hpp"
 #include "core/particle_store.hpp"
+#include "core/stage_probe.hpp"
 #include "core/stage_timers.hpp"
 
 namespace {
@@ -269,15 +271,47 @@ TEST(StageTimers, NamesAndBreakdown) {
 }
 
 TEST(StageTimers, ScopedTimerAddsElapsed) {
-  core::StageTimers timers;
+  // A detached probe's stage scope is the filters' stage timer.
+  core::StageProbe probe;
   {
-    core::ScopedStageTimer t(timers, core::Stage::kLocalSort);
+    const auto stage = probe.stage(core::Stage::kLocalSort);
     // Work the optimizer cannot elide (result feeds an assertion).
     double sink = 0.0;
     for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
     EXPECT_GT(sink, 0.0);
   }
-  EXPECT_GT(timers.seconds(core::Stage::kLocalSort), 0.0);
+  EXPECT_GT(probe.timers().seconds(core::Stage::kLocalSort), 0.0);
+  EXPECT_EQ(probe.timers().launches(core::Stage::kLocalSort), 1u);
+  EXPECT_FALSE(probe.attached());
+  probe.count({.barriers = 1});  // detached: a no-op, not a crash
+}
+
+TEST(StageProbe, StageThatThrowsIsStillRecordedEverywhere) {
+  telemetry::Telemetry tel;
+  core::StageProbe probe(&tel, core::StageProbe::Filter::kCentralized, 1, 8);
+  const auto ctx = telemetry::TraceContext::mint(1, 0);
+  EXPECT_THROW(
+      {
+        const auto round = probe.round(0, &ctx);
+        const auto stage = probe.stage(core::Stage::kSampling, "sampling+weighting");
+        probe.count({.barriers = 1, .rng_draws = 3});
+        throw std::runtime_error("model failure");
+      },
+      std::runtime_error);
+  EXPECT_EQ(probe.timers().launches(core::Stage::kSampling), 1u);
+  EXPECT_EQ(tel.registry.histogram("stage.sampling").count(), 1u);
+  EXPECT_EQ(tel.registry.counter("work.rng_draws").value(), 3u);
+  // The centralized metric set has no barrier counter.
+  EXPECT_EQ(tel.registry.find_counter("work.barriers"), nullptr);
+  const auto spans = tel.trace.spans();
+  ASSERT_EQ(spans.size(), 2u);
+  EXPECT_EQ(spans[0].name, "sampling+weighting");
+  EXPECT_TRUE(spans[0].thrown);
+  EXPECT_EQ(spans[0].parent_span_id, spans[1].span_id);
+  EXPECT_EQ(spans[1].name, "step");
+  EXPECT_EQ(spans[1].parent_span_id, ctx.span_id);
+  // Outside a round, launch spans have no parent again.
+  EXPECT_EQ(probe.span("late").child_context().trace_id, 0u);
 }
 
 }  // namespace
