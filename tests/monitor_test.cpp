@@ -338,6 +338,58 @@ TEST(MonitorEquivalence, CentralizedEstimatesAreBitIdentical) {
   EXPECT_EQ(mon.count("nonfinite_weights"), 0u);
 }
 
+TEST(MonitorEquivalence, CentralizedTelemetryAndMonitorSeeTheSameRound) {
+  // Both consumers attached share one computation of the round's entropy
+  // and unique-parent fraction; each must see what it sees alone.
+  using Filter = core::CentralizedParticleFilter<models::RobotArmModel<float>>;
+  monitor::MonitorConfig trip_always;
+  trip_always.entropy_floor_fraction = 1.01;  // normalized entropy <= 1
+  trip_always.unique_parent_min = 1.01;       // unique fraction <= 1
+  trip_always.metropolis_bias_epsilon = 1e-12;
+  trip_always.cooldown_steps = 0;
+  core::CentralizedOptions opts;
+  opts.seed = 11;
+  opts.resample = core::ResampleAlgorithm::kMetropolis;
+  sim::RobotArmScenario scenario;
+  const auto run = [&](telemetry::Telemetry* tel, monitor::HealthMonitor* mon) {
+    core::CentralizedOptions o = opts;
+    o.telemetry = tel;
+    o.monitor = mon;
+    scenario.reset(4);
+    Filter pf(scenario.make_model<float>(), 128, o);
+    run_arm_estimates(pf, 10, 4);
+  };
+  telemetry::Telemetry tel_alone;
+  run(&tel_alone, nullptr);
+  monitor::HealthMonitor mon_alone(trip_always);
+  run(nullptr, &mon_alone);
+  telemetry::Telemetry tel_both;
+  monitor::HealthMonitor mon_both(trip_always);
+  run(&tel_both, &mon_both);
+
+  for (const char* name : {"ess", "entropy", "unique_parent"}) {
+    const auto alone = tel_alone.series.points(name);
+    const auto both = tel_both.series.points(name);
+    ASSERT_EQ(alone.size(), 10u) << name;
+    ASSERT_EQ(both.size(), alone.size()) << name;
+    for (std::size_t i = 0; i < alone.size(); ++i) {
+      EXPECT_EQ(both[i].value, alone[i].value) << name << " step " << i;
+    }
+  }
+  const auto alone = mon_alone.events();
+  const auto both = mon_both.events();
+  for (const char* detector :
+       {"entropy_floor", "parent_starvation", "metropolis_bias"}) {
+    EXPECT_EQ(mon_alone.count(detector), 10u) << detector;
+  }
+  ASSERT_EQ(both.size(), alone.size());
+  for (std::size_t i = 0; i < alone.size(); ++i) {
+    EXPECT_EQ(both[i].detector, alone[i].detector) << i;
+    EXPECT_EQ(both[i].step, alone[i].step) << i;
+    EXPECT_EQ(both[i].value, alone[i].value) << alone[i].detector << " " << i;
+  }
+}
+
 TEST(MonitorEquivalence, WorksAlongsideTelemetryAndChecking) {
   using Filter = core::DistributedParticleFilter<models::RobotArmModel<float>>;
   telemetry::Telemetry tel;
