@@ -94,6 +94,15 @@ class BaselineDistributedFilter {
         weights_(n_total_),
         cumsum_(n_total_),
         indices_(n_total_),
+        uniforms_(n_total_),
+        pool_(std::min(opts_.compressed_per_group, m_) * n_filters_),
+        pool_weights_(pool_.size()),
+        pool_cumsum_(pool_.size()),
+        group_sums_(n_filters_),
+        group_draws_(n_filters_),
+        group_cumsum_(n_filters_),
+        counts_(n_filters_),
+        offsets_(n_filters_ + 1, 0),
         estimate_(dim_, T(0)) {
     assert(m_ > 0 && n_filters_ > 0);
     const std::size_t npg = m_ * std::max(model_.noise_dim(), model_.init_noise_dim());
@@ -185,13 +194,12 @@ class BaselineDistributedFilter {
     // GDPF: one RWS pass over the entire population ("resampling is
     // performed centrally"). Communication-equivalent: all weights and all
     // surviving states cross the interconnect.
-    std::vector<T> uniforms(n_total_);
     for (std::size_t g = 0; g < n_filters_; ++g) {
       for (std::size_t p = 0; p < m_; ++p) {
-        uniforms[g * m_ + p] = group_uniform(g, p);
+        uniforms_[g * m_ + p] = group_uniform(g, p);
       }
     }
-    resample::rws_resample<T>(weights_, uniforms, indices_, cumsum_);
+    resample::rws_resample<T>(weights_, uniforms_, indices_, cumsum_);
     sortnet::gather_rows<T, std::uint32_t>(cur_.raw_state(), aux_.raw_state(),
                                            indices_, dim_);
     finish_resample();
@@ -201,34 +209,32 @@ class BaselineDistributedFilter {
     // CDPF: each group publishes its k best particles; the center
     // resamples the compressed set; every group redraws its population
     // from the compressed winners.
-    const std::size_t k = std::min(opts_.compressed_per_group, m_);
-    const std::size_t pool_size = k * n_filters_;
-    std::vector<std::uint32_t> pool(pool_size);
+    const std::size_t k = pool_.size() / n_filters_;
     dev_->launch(n_filters_, [&](std::size_t g) {
-      // Partial selection of the k best by repeated max (k is tiny).
+      // Partial selection of the k best by repeated max (k is tiny); the
+      // group's slice of indices_ is the selection scratch.
       const auto lw = cur_.log_weights(g * m_, m_);
-      std::vector<std::uint32_t> local(m_);
+      const auto local = std::span<std::uint32_t>(indices_).subspan(g * m_, m_);
       std::iota(local.begin(), local.end(), 0u);
       std::partial_sort(local.begin(), local.begin() + static_cast<std::ptrdiff_t>(k),
                         local.end(), [&](std::uint32_t a, std::uint32_t b) {
                           return lw[a] > lw[b];
                         });
       for (std::size_t i = 0; i < k; ++i) {
-        pool[g * k + i] = static_cast<std::uint32_t>(g * m_ + local[i]);
+        pool_[g * k + i] = static_cast<std::uint32_t>(g * m_ + local[i]);
       }
     });
-    // Central resampling over the compressed pool.
-    std::vector<T> pool_weights(pool_size);
-    for (std::size_t i = 0; i < pool_size; ++i) pool_weights[i] = weights_[pool[i]];
+    // Central resampling over the compressed pool: one cumulative sum that
+    // every group draws from.
+    for (std::size_t i = 0; i < pool_.size(); ++i) pool_weights_[i] = weights_[pool_[i]];
+    const T total = resample::build_cumulative<T>(pool_weights_, pool_cumsum_);
     // Every group redraws its m particles from the pool.
     dev_->launch(n_filters_, [&](std::size_t g) {
-      std::vector<T> cumsum(pool_size);
-      const T total = resample::build_cumulative<T>(pool_weights, cumsum);
       const auto uniforms = rand_.group_uniforms(g);
       for (std::size_t p = 0; p < m_; ++p) {
         const T target = uniforms[p] * total;
-        const std::size_t pick = resample::upper_index<T>(cumsum, target);
-        const auto src = cur_.state(pool[pick]);
+        const std::size_t pick = resample::upper_index<T>(pool_cumsum_, target);
+        const auto src = cur_.state(pool_[pick]);
         auto dst = aux_.state(g * m_ + p);
         std::copy(src.begin(), src.end(), dst.begin());
       }
@@ -244,31 +250,27 @@ class BaselineDistributedFilter {
     // hold variable counts; the population is re-balanced back to m per
     // group by cyclic redistribution (the "particle routing" step of the
     // original architecture).
-    std::vector<T> group_sums(n_filters_);
     dev_->launch(n_filters_, [&](std::size_t g) {
       T sum = T(0);
       for (std::size_t p = 0; p < m_; ++p) sum += weights_[g * m_ + p];
-      group_sums[g] = sum;
+      group_sums_[g] = sum;
     });
-    std::vector<std::uint32_t> group_draws(n_filters_);
-    std::vector<T> group_cumsum(n_filters_);
-    resample::systematic_resample<T>(group_sums, group_uniform(0, 2 * m_),
-                                     group_draws, group_cumsum);
-    std::vector<std::size_t> counts(n_filters_, 0);
-    for (const auto g : group_draws) ++counts[g];  // one draw per group slot
+    resample::systematic_resample<T>(group_sums_, group_uniform(0, 2 * m_),
+                                     group_draws_, group_cumsum_);
+    std::fill(counts_.begin(), counts_.end(), std::size_t{0});
+    for (const auto g : group_draws_) ++counts_[g];  // one draw per group slot
     // counts[g] children allocated to group g, summing to n_filters_;
     // scale to the full population (each allocation stands for m children).
     // Stage 2: local resampling of counts[g] * m children per group, written
     // contiguously into aux_ in group order.
-    std::vector<std::size_t> offsets(n_filters_ + 1, 0);
     for (std::size_t g = 0; g < n_filters_; ++g) {
-      offsets[g + 1] = offsets[g] + counts[g] * m_;
+      offsets_[g + 1] = offsets_[g] + counts_[g] * m_;
     }
     dev_->launch(n_filters_, [&](std::size_t g) {
-      const std::size_t children = counts[g] * m_;
+      const std::size_t children = counts_[g] * m_;
       if (children == 0) return;
       auto w = std::span<const T>(weights_).subspan(g * m_, m_);
-      std::vector<T> cumsum(m_);
+      auto cumsum = std::span<T>(cumsum_).subspan(g * m_, m_);
       const T total = resample::build_cumulative<T>(w, cumsum);
       const auto uniforms = rand_.group_uniforms(g);
       for (std::size_t c = 0; c < children; ++c) {
@@ -279,7 +281,7 @@ class BaselineDistributedFilter {
         uval -= std::floor(uval);
         const std::size_t pick = resample::upper_index<T>(cumsum, uval * total);
         const auto src = cur_.state(g * m_ + pick);
-        auto dst = aux_.state(offsets[g] + c);
+        auto dst = aux_.state(offsets_[g] + c);
         std::copy(src.begin(), src.end(), dst.begin());
       }
     });
@@ -306,6 +308,18 @@ class BaselineDistributedFilter {
   std::vector<T> weights_;
   std::vector<T> cumsum_;
   std::vector<std::uint32_t> indices_;
+  // Round scratch of the central stages, sized once so step() allocates
+  // nothing: GDPF's gathered uniforms; CDPF's compressed pool; RPA's group
+  // sums, draws and child counts/offsets.
+  std::vector<T> uniforms_;
+  std::vector<std::uint32_t> pool_;
+  std::vector<T> pool_weights_;
+  std::vector<T> pool_cumsum_;
+  std::vector<T> group_sums_;
+  std::vector<std::uint32_t> group_draws_;
+  std::vector<T> group_cumsum_;
+  std::vector<std::size_t> counts_;
+  std::vector<std::size_t> offsets_;
   std::vector<T> estimate_;
   StageProbe probe_;  // detached: stage timers only
   std::size_t step_ = 0;

@@ -11,6 +11,8 @@
 #include <span>
 #include <vector>
 
+#include "mcore/first_touch.hpp"
+
 namespace esthera::core {
 
 /// AoS particle store: `count` particles of `dim` scalars each, plus a
@@ -19,9 +21,14 @@ template <typename T>
 class ParticleStore {
  public:
   ParticleStore() = default;
+  /// Leaves every state and log-weight unwritten: the owner's first kernel
+  /// (initialization, or the stage that fills the store) writes each one
+  /// before anything reads it, and takes the page faults on the thread
+  /// that runs the group (see mcore/first_touch.hpp).
   ParticleStore(std::size_t count, std::size_t dim)
       : count_(count), dim_(dim), state_(count * dim), log_weight_(count) {}
 
+  /// Reshapes the store and zero-fills it.
   void resize(std::size_t count, std::size_t dim) {
     count_ = count;
     dim_ = dim;
@@ -75,8 +82,8 @@ class ParticleStore {
  private:
   std::size_t count_ = 0;
   std::size_t dim_ = 0;
-  std::vector<T> state_;       // AoS: particle-major
-  std::vector<T> log_weight_;  // log p(z | x) accumulated this round
+  mcore::FirstTouchVector<T> state_;       // AoS: particle-major
+  mcore::FirstTouchVector<T> log_weight_;  // log p(z | x) accumulated this round
 };
 
 /// SoA particle store (dimension-major), used only by the layout ablation.

@@ -30,13 +30,19 @@ class Device {
   [[nodiscard]] mcore::ThreadPool& pool() noexcept { return pool_; }
 
   /// Launches `kernel(group_id)` for every group in [0, num_groups).
-  /// Returns after all groups completed (kernel-boundary barrier).
+  /// Returns after all groups completed (kernel-boundary barrier). Workers
+  /// claim contiguous runs of pool().group_chunk(num_groups) groups, so a
+  /// group's slice of a packed per-group array, and the cache lines at its
+  /// edges, are written by one worker, as a GPU work group's memory is
+  /// touched by one SM. Group kernels are independent, so the schedule
+  /// changes no result bit.
   template <typename Kernel>
   void launch(std::size_t num_groups, Kernel&& kernel) {
     launches_.fetch_add(1, std::memory_order_relaxed);
     groups_launched_.fetch_add(num_groups, std::memory_order_relaxed);
-    pool_.run(num_groups,
-              [&](std::size_t g, std::size_t /*worker*/) { kernel(g); });
+    pool_.run(
+        num_groups, [&](std::size_t g, std::size_t /*worker*/) { kernel(g); },
+        pool_.group_chunk(num_groups));
   }
 
   /// Lifetime kernel-launch count (telemetry; relaxed, exact only between

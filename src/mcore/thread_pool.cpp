@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 namespace esthera::mcore {
 
@@ -24,13 +25,14 @@ ThreadPool::~ThreadPool() {
   for (auto& t : threads_) t.join();
 }
 
-void ThreadPool::execute_share(Job& job, std::size_t worker_index) {
+void ThreadPool::execute_share(std::size_t worker_index) {
+  Job& job = job_;
   for (;;) {
     const std::size_t start = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
-    if (start >= job.n) break;
+    if (start >= job.n) return;
     const std::size_t stop = std::min(start + job.chunk, job.n);
     for (std::size_t i = start; i < stop; ++i) {
-      if (job.failed.load(std::memory_order_relaxed)) break;
+      if (job.failed.load(std::memory_order_relaxed)) return;
       try {
         (*job.fn)(i, worker_index);
       } catch (...) {
@@ -39,34 +41,30 @@ void ThreadPool::execute_share(Job& job, std::size_t worker_index) {
         }
       }
     }
-    if (job.done.fetch_add(stop - start, std::memory_order_acq_rel) + (stop - start) ==
-        job.n) {
-      // Synchronize with the waiter before notifying: without taking the
-      // mutex here, the caller can evaluate its wait predicate (done < n),
-      // lose the CPU before sleeping, miss this notify, and block forever
-      // on a job that is already complete.
-      { std::lock_guard lock(mutex_); }
-      cv_done_.notify_all();
-    }
   }
 }
 
 void ThreadPool::worker_loop(std::size_t worker_index) {
   std::uint64_t seen_epoch = 0;
   for (;;) {
-    std::shared_ptr<Job> job;
     {
       std::unique_lock lock(mutex_);
-      cv_start_.wait(lock, [&] { return stop_ || (job_ != nullptr && epoch_ != seen_epoch); });
+      cv_start_.wait(lock, [&] { return stop_ || (open_ && epoch_ != seen_epoch); });
       if (stop_) return;
       seen_epoch = epoch_;
-      job = job_;
+      ++active_;
     }
-    // Mirror the dispatcher's profiling scope (if any) onto this pool
-    // thread for the duration of its share, so hardware/task-clock deltas
-    // from worker threads accrue into the same stage accumulator.
-    profile::ShareScope profile_share(job->share);
-    execute_share(*job, worker_index);
+    {
+      // Mirror the dispatcher's profiling scope (if any) onto this pool
+      // thread for the duration of its share, so hardware/task-clock
+      // deltas from worker threads accrue into the same stage accumulator.
+      profile::ShareScope profile_share(job_.share);
+      execute_share(worker_index);
+    }
+    // Leaving under the mutex is what lets the dispatcher reuse the slot:
+    // it returns only once every joined worker is out.
+    std::lock_guard lock(mutex_);
+    if (--active_ == 0) cv_done_.notify_all();
   }
 }
 
@@ -81,29 +79,39 @@ void ThreadPool::run(std::size_t n,
   while (n > depth && !max_queue_depth_.compare_exchange_weak(
                           depth, n, std::memory_order_relaxed)) {
   }
-  if (threads_.empty()) {
+  bool dispatched = false;
+  if (!threads_.empty()) {
+    std::lock_guard lock(mutex_);
+    if (!busy_) {
+      busy_ = dispatched = open_ = true;
+      job_.fn = &fn;
+      job_.n = n;
+      job_.chunk = chunk;
+      job_.share = profile::current_share();
+      job_.next.store(0, std::memory_order_relaxed);
+      job_.failed.store(false, std::memory_order_relaxed);
+      ++epoch_;
+    }
+  }
+  if (!dispatched) {
+    // Inline pool, or the slot belongs to another dispatcher.
     for (std::size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
-  auto job = std::make_shared<Job>();
-  job->fn = &fn;
-  job->n = n;
-  job->chunk = chunk;
-  job->share = profile::current_share();
-  {
-    std::lock_guard lock(mutex_);
-    job_ = job;
-    ++epoch_;
-  }
   cv_start_.notify_all();
   // The calling thread participates as worker 0; pool threads are 1..N-1.
-  execute_share(*job, 0);
+  execute_share(0);
+  std::exception_ptr error;
   {
     std::unique_lock lock(mutex_);
-    cv_done_.wait(lock, [&] { return job->done.load(std::memory_order_acquire) == n; });
-    job_.reset();
+    // Every index is claimed once the caller's share ends: close the slot
+    // to late wakers, then wait out the workers still finishing theirs.
+    open_ = false;
+    cv_done_.wait(lock, [&] { return active_ == 0; });
+    error = std::exchange(job_.error, nullptr);
+    busy_ = false;
   }
-  if (job->error) std::rethrow_exception(job->error);
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

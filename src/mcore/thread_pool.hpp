@@ -3,13 +3,13 @@
 // streaming multiprocessors / compute units.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -27,7 +27,11 @@ namespace esthera::mcore {
 /// usable for per-worker scratch state.
 ///
 /// A worker count of 0 or 1 executes inline on the calling thread, which
-/// keeps single-core runs free of synchronization overhead.
+/// keeps single-core runs free of synchronization overhead. A dispatch
+/// allocates nothing: the pool reuses one job slot. A run() that finds the
+/// slot taken -- a second thread dispatching concurrently, or a nested
+/// run() from inside `fn` -- executes its indices inline on the calling
+/// thread instead of waiting.
 class ThreadPool {
  public:
   /// Creates a pool with `workers` threads (0 and 1 both mean "inline").
@@ -49,13 +53,24 @@ class ThreadPool {
   /// indices completed. `chunk` indices are claimed at a time; larger chunks
   /// lower scheduling overhead, smaller chunks balance irregular work.
   ///
-  /// If `fn` throws, on any thread, the first exception is captured and the
-  /// indices not yet started are skipped (counted, but `fn` is not called
-  /// for them). run() rethrows that exception on the caller only once every
-  /// worker has left the job, so no thread still touches `fn` afterwards
-  /// and the pool stays usable.
+  /// If `fn` throws, on any thread, the first exception is captured and
+  /// `fn` is not called for the indices not yet started, including the rest
+  /// of the throwing index's chunk. run() rethrows that exception on the
+  /// caller only once every worker has left the job, so no thread still
+  /// touches `fn` afterwards and the pool stays usable.
   void run(std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
            std::size_t chunk = 1);
+
+  /// The fixed chunk of a launch over `n` independent work groups:
+  /// max(1, n / (8 * worker_count())). Each claim hands a worker a run of
+  /// neighbouring groups, so the packed per-group arrays are written by one
+  /// worker except at chunk edges (paper Sec. VI: a work group's memory is
+  /// touched by one SM), while about eight chunks per worker still balance
+  /// the tail. Device launches and the PRNG fill use it; irregular work
+  /// (serve batches) keeps chunk 1.
+  [[nodiscard]] std::size_t group_chunk(std::size_t n) const noexcept {
+    return std::max<std::size_t>(1, n / (8 * worker_count()));
+  }
 
   /// Dispatch statistics for telemetry: how many bulk jobs ran, the total
   /// index count they covered, and the queue-depth high-water mark (the
@@ -91,11 +106,10 @@ class ThreadPool {
   static void set_default_worker_count(std::size_t workers);
 
  private:
+  // The one reusable job slot. The dispatcher writes the fields under
+  // mutex_ while no worker is inside the slot (active_ == 0 and the slot
+  // closed); workers read them only after joining under mutex_.
   struct Job {
-    // The function pointer is only dereferenced while indices remain; once
-    // `done == n` every index has run, so the caller may return and destroy
-    // the function object even though workers may still probe `next`/`n`.
-    // The Job itself is shared so those probes never touch freed memory.
     const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
     std::size_t n = 0;
     std::size_t chunk = 1;
@@ -105,24 +119,26 @@ class ThreadPool {
     // inline) is already covered by its own active Scope.
     profile::ThreadShare share;
     std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
     // Set by the first throwing index; later indices are skipped. `error`
-    // is written only by the thread that set `failed`, before its
-    // acq_rel add to `done`, so the caller reads it after done == n.
+    // is written only by the thread that set `failed`; the dispatcher reads
+    // it under mutex_ once every joined worker has left.
     std::atomic<bool> failed{false};
     std::exception_ptr error;
   };
 
   void worker_loop(std::size_t worker_index);
-  void execute_share(Job& job, std::size_t worker_index);
+  void execute_share(std::size_t worker_index);
 
   std::vector<std::thread> threads_;
   std::mutex mutex_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
-  std::shared_ptr<Job> job_;   // guarded by mutex_
-  std::uint64_t epoch_ = 0;    // bumped per job; guarded by mutex_
-  bool stop_ = false;          // guarded by mutex_
+  Job job_;
+  bool busy_ = false;         // a dispatcher owns job_; guarded by mutex_
+  bool open_ = false;         // workers may join job_; guarded by mutex_
+  std::size_t active_ = 0;    // workers inside job_; guarded by mutex_
+  std::uint64_t epoch_ = 0;   // bumped per job; guarded by mutex_
+  bool stop_ = false;         // guarded by mutex_
   std::atomic<std::uint64_t> jobs_executed_{0};
   std::atomic<std::uint64_t> indices_executed_{0};
   std::atomic<std::uint64_t> max_queue_depth_{0};

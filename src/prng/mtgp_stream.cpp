@@ -72,9 +72,12 @@ void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
     if (odd) ops.normal_fill(std::span<const T>(tail), normals.last(1));
   };
   // One reference capture keeps the std::function the pool takes within
-  // its small-object buffer: the fill allocates nothing.
-  pool.run(buf.groups,
-           [&fill_group](std::size_t g, std::size_t /*worker*/) { fill_group(g); });
+  // its small-object buffer: the fill allocates nothing. Groups go out in
+  // the same contiguous chunks as a Device launch.
+  pool.run(
+      buf.groups,
+      [&fill_group](std::size_t g, std::size_t /*worker*/) { fill_group(g); },
+      pool.group_chunk(buf.groups));
 }
 
 void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,

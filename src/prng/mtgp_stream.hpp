@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "device/backend.hpp"
+#include "mcore/first_touch.hpp"
 #include "mcore/thread_pool.hpp"
 #include "prng/distributions.hpp"
 #include "prng/mt19937.hpp"
@@ -25,13 +26,15 @@
 namespace esthera::prng {
 
 /// One round's worth of pre-generated random variates, laid out per group.
+/// resize() leaves the variates unwritten: MtgpStream::fill writes every
+/// one, each group's slice on the worker that runs the group.
 template <typename T>
 struct RandomBuffer {
   std::size_t groups = 0;
   std::size_t normals_per_group = 0;
   std::size_t uniforms_per_group = 0;
-  std::vector<T> normals;   // groups * normals_per_group
-  std::vector<T> uniforms;  // groups * uniforms_per_group
+  mcore::FirstTouchVector<T> normals;   // groups * normals_per_group
+  mcore::FirstTouchVector<T> uniforms;  // groups * uniforms_per_group
 
   void resize(std::size_t g, std::size_t npg, std::size_t upg) {
     groups = g;

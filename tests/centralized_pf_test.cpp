@@ -201,6 +201,34 @@ TEST(CentralizedPf, DeterministicPerSeed) {
   EXPECT_NE(run(5), run(6));
 }
 
+TEST(CentralizedPf, CheckedMatchesUncheckedWithUnwrittenStores) {
+  // The particle stores start unwritten; a checked filter poisons them with
+  // NaN, so any read before initialize()/sampling wrote a slot would split
+  // the two filters' estimates.
+  const models::GrowthModel<double> model;
+  for (const auto r :
+       {core::ResampleAlgorithm::kRws, core::ResampleAlgorithm::kVose,
+        core::ResampleAlgorithm::kSystematic, core::ResampleAlgorithm::kStratified,
+        core::ResampleAlgorithm::kMetropolis}) {
+    SCOPED_TRACE(core::to_string(r));
+    const auto run = [&](bool checked) {
+      sim::ModelSimulator<models::GrowthModel<double>> sim(model, 17);
+      core::CentralizedOptions opts;
+      opts.resample = r;
+      opts.estimator = core::EstimatorKind::kWeightedMean;
+      opts.check_invariants = checked;
+      GrowthFilter pf(model, 256, opts);
+      std::vector<double> estimates;
+      for (int k = 0; k < 10; ++k) {
+        pf.step(sim.advance().z);
+        estimates.push_back(pf.estimate()[0]);
+      }
+      return estimates;
+    };
+    EXPECT_EQ(run(true), run(false));
+  }
+}
+
 TEST(CentralizedPf, StageTimersAccumulate) {
   const models::GrowthModel<double> model;
   sim::ModelSimulator<models::GrowthModel<double>> sim(model, 1);

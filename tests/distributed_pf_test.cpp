@@ -5,7 +5,11 @@
 // estimator / generator combination.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/distributed_pf.hpp"
@@ -361,6 +365,76 @@ TEST(DistributedPf, SharedDeviceStress) {
                                      filters[i].estimate().end()));
   }
 }
+
+// The particle stores, the PRNG buffer and the per-particle kernel scratch
+// are sized without being written, and each is first written by the kernel
+// that owns it. A checked filter poisons them (NaN, 0xFFFFFFFF), so a kernel
+// that read an element before any kernel wrote it would split the checked
+// and unchecked trajectories or trip a check. Rejection is left out until
+// its fixed trial cap scales with the group (the rejection item in
+// ROADMAP.md): its checked path can fail the distribution check on its own.
+using FirstTouchCase =
+    std::tuple<core::ResampleAlgorithm, prng::Generator, double, std::size_t>;
+
+class DistributedPfFirstTouch : public ::testing::TestWithParam<FirstTouchCase> {};
+
+TEST_P(DistributedPfFirstTouch, CheckedMatchesUnchecked) {
+  const auto [resample, generator, roughening, workers] = GetParam();
+  const auto run = [&](bool checked) {
+    sim::RobotArmScenario scenario;
+    scenario.reset(7);
+    core::FilterConfig cfg = small_config();
+    cfg.particles_per_filter = 64;
+    cfg.num_filters = 16;
+    cfg.resample = resample;
+    cfg.generator = generator;
+    cfg.roughening_k = roughening;
+    cfg.workers = workers;
+    cfg.check_invariants = checked;
+    ArmFilterF pf(scenario.make_model<float>(), cfg);
+    std::vector<float> z, u, trajectory;
+    for (int k = 0; k < 6; ++k) {
+      const auto step = scenario.advance();
+      z.assign(step.z.begin(), step.z.end());
+      u.assign(step.u.begin(), step.u.end());
+      pf.step(z, u);
+      trajectory.insert(trajectory.end(), pf.estimate().begin(), pf.estimate().end());
+    }
+    const auto state = pf.export_state();
+    trajectory.insert(trajectory.end(), state.state.begin(), state.state.end());
+    trajectory.insert(trajectory.end(), state.log_weights.begin(),
+                      state.log_weights.end());
+    return trajectory;
+  };
+  const std::vector<float> checked = run(true);
+  const std::vector<float> unchecked = run(false);
+  ASSERT_EQ(checked.size(), unchecked.size());
+  for (std::size_t i = 0; i < checked.size(); ++i) {
+    // Bitwise: a NaN that leaked from a poisoned slot compares unequal.
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(checked[i]),
+              std::bit_cast<std::uint32_t>(unchecked[i]))
+        << "element " << i;
+  }
+}
+
+std::string first_touch_name(const ::testing::TestParamInfo<FirstTouchCase>& info) {
+  const auto& [resample, generator, roughening, workers] = info.param;
+  return std::string(core::to_string(resample)) +
+         (generator == prng::Generator::kMtgp ? "_mtgp" : "_philox") +
+         (roughening > 0.0 ? "_roughened" : "") + "_w" + std::to_string(workers);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllResamplers, DistributedPfFirstTouch,
+    ::testing::Combine(::testing::Values(core::ResampleAlgorithm::kRws,
+                                         core::ResampleAlgorithm::kVose,
+                                         core::ResampleAlgorithm::kSystematic,
+                                         core::ResampleAlgorithm::kStratified,
+                                         core::ResampleAlgorithm::kMetropolis),
+                       ::testing::Values(prng::Generator::kMtgp, prng::Generator::kPhilox),
+                       ::testing::Values(0.0, 0.2),
+                       ::testing::Values<std::size_t>(1, 4)),
+    first_touch_name);
 
 TEST(DistributedPf, StageTimersCoverAllKernels) {
   sim::RobotArmScenario scenario;

@@ -1,6 +1,7 @@
 // Host-runtime tests: the thread pool's exactly-once index guarantee under
-// varying worker counts and chunk sizes, and the device emulator's launch
-// semantics (kernel-boundary barriers, group coverage).
+// varying worker counts and chunk sizes (the fixed group chunk included),
+// its reusable job slot, and the device emulator's launch semantics
+// (kernel-boundary barriers, group coverage).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -209,6 +210,133 @@ TEST(ThreadPool, ThrowingIndexRethrowsOnCallerAndPoolStaysUsable) {
     pool.run(n, [&](std::size_t i, std::size_t) { again[i].fetch_add(1); });
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(again[i].load(), 1) << i;
   }
+}
+
+TEST(ThreadPool, GroupChunkRule) {
+  // max(1, n / (8 * workers)): about eight contiguous chunks per worker.
+  EXPECT_EQ(mcore::ThreadPool(4).group_chunk(1024), 32u);
+  EXPECT_EQ(mcore::ThreadPool(4).group_chunk(128), 4u);
+  EXPECT_EQ(mcore::ThreadPool(4).group_chunk(16), 1u);
+  EXPECT_EQ(mcore::ThreadPool(4).group_chunk(0), 1u);
+  EXPECT_EQ(mcore::ThreadPool(1).group_chunk(1024), 128u);
+}
+
+class ThreadPoolGroupChunk
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(ThreadPoolGroupChunk, RunAndLaunchCoverEveryIndexOnce) {
+  const auto [n, workers] = GetParam();
+  mcore::ThreadPool pool(workers);
+  std::vector<std::atomic<int>> hits(n);
+  std::atomic<std::size_t> calls{0};
+  pool.run(
+      n,
+      [&](std::size_t i, std::size_t) {
+        calls.fetch_add(1, std::memory_order_relaxed);
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      },
+      pool.group_chunk(n));
+  EXPECT_EQ(calls.load(), n);
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+
+  device::Device dev(workers);
+  std::vector<std::atomic<int>> groups(n);
+  dev.launch(n, [&](std::size_t g) { groups[g].fetch_add(1, std::memory_order_relaxed); });
+  for (std::size_t g = 0; g < n; ++g) ASSERT_EQ(groups[g].load(), 1) << "group " << g;
+  EXPECT_EQ(dev.groups_launched(), n);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndWorkers, ThreadPoolGroupChunk,
+    ::testing::Combine(::testing::Values<std::size_t>(0, 1, 5, 31, 32, 33, 1024),
+                       ::testing::Values<std::size_t>(1, 2, 3, 4, 8)));
+
+TEST(ThreadPool, ThrowMidChunkRethrowsAndPoolStaysUsable) {
+  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    mcore::ThreadPool pool(workers);
+    const std::size_t n = 1024;
+    const std::size_t chunk = pool.group_chunk(n);
+    ASSERT_GT(chunk, 2u);
+    // The thrower sits in the middle of the second chunk.
+    const std::size_t bad = chunk + chunk / 2;
+    std::vector<std::atomic<int>> hits(n);
+    try {
+      pool.run(
+          n,
+          [&](std::size_t i, std::size_t) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
+            if (i == bad) throw std::runtime_error("mid-chunk");
+          },
+          chunk);
+      ADD_FAILURE() << "run() did not rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "mid-chunk");
+    }
+    EXPECT_EQ(hits[bad].load(), 1);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_LE(hits[i].load(), 1) << i;
+    // One thread runs a chunk in order and stops at the throw: the rest of
+    // the thrower's chunk never starts.
+    for (std::size_t i = bad + 1; i < 2 * chunk; ++i) EXPECT_EQ(hits[i].load(), 0) << i;
+
+    std::vector<std::atomic<int>> again(n);
+    pool.run(
+        n, [&](std::size_t i, std::size_t) { again[i].fetch_add(1); }, chunk);
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(again[i].load(), 1) << i;
+  }
+}
+
+TEST(ThreadPool, BackToBackRunsOnReusedJobSlotStayIsolated) {
+  // Every run() reuses the pool's one job slot. A worker still inside job k
+  // when job k+1 is set up would write into a vector that is already gone
+  // (plain ints, so TSan and ASan both see it) or run the wrong `fn`.
+  mcore::ThreadPool pool(4);
+  for (int round = 0; round < 2000; ++round) {
+    const std::size_t n = 1 + static_cast<std::size_t>(round % 13);
+    const std::size_t chunk = 1 + static_cast<std::size_t>(round % 3);
+    std::vector<int> slots(n, -1);
+    {
+      const std::function<void(std::size_t, std::size_t)> fn =
+          [&slots, round](std::size_t i, std::size_t) { slots[i] = round; };
+      pool.run(n, fn, chunk);
+    }
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(slots[i], round) << "round " << round;
+  }
+}
+
+TEST(ThreadPool, ConcurrentDispatchersEachCompleteTheirJob) {
+  // Two threads dispatching on one pool: whichever finds the job slot taken
+  // runs its indices inline, so both still see every index exactly once.
+  mcore::ThreadPool pool(4);
+  const auto hammer = [&pool](std::atomic<long>& sum) {
+    for (int round = 0; round < 300; ++round) {
+      pool.run(
+          64,
+          [&](std::size_t i, std::size_t worker) {
+            EXPECT_LT(worker, pool.worker_count());
+            sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
+          },
+          pool.group_chunk(64));
+    }
+  };
+  std::atomic<long> sa{0}, sb{0};
+  std::thread ta([&] { hammer(sa); });
+  std::thread tb([&] { hammer(sb); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(sa.load(), 300L * 2016L);
+  EXPECT_EQ(sb.load(), 300L * 2016L);
+}
+
+TEST(ThreadPool, NestedRunExecutesInline) {
+  mcore::ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(16 * 8);
+  pool.run(16, [&](std::size_t outer, std::size_t) {
+    pool.run(8, [&](std::size_t inner, std::size_t) {
+      hits[outer * 8 + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(Device, LaunchCoversAllGroups) {
