@@ -7,7 +7,6 @@
 #include <random>
 #include <vector>
 
-#include "device/backend.hpp"
 #include "mcore/thread_pool.hpp"
 #include "models/robot_arm.hpp"
 #include "profile/profile.hpp"
@@ -212,92 +211,6 @@ void BM_StreamFill(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamFill<prng::Generator::kMtgp>)->Arg(8)->Arg(64);
 BENCHMARK(BM_StreamFill<prng::Generator::kPhilox>)->Arg(8)->Arg(64);
-
-// Backend comparison table: the same lane-batched phase kernel under the
-// scalar reference and the SIMD backend. Run with --benchmark_filter=Backend
-// to get the per-kernel speedup table (the two are bit-identical by
-// contract, so the delta is pure throughput).
-template <device::Backend B>
-void BM_BackendSortPairs(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto input = random_floats(n, -1.0f, 1.0f);
-  std::vector<float> keys(n);
-  std::vector<std::uint32_t> idx(n);
-  for (auto _ : state) {
-    keys = input;
-    for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-    ops.sort_pairs_desc(keys, idx, nullptr);
-    benchmark::DoNotOptimize(idx.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendSortPairs<device::Backend::kScalar>)->Arg(64)->Arg(512)->Arg(4096);
-BENCHMARK(BM_BackendSortPairs<device::Backend::kSimd>)->Arg(64)->Arg(512)->Arg(4096);
-
-template <device::Backend B>
-void BM_BackendScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto input = random_floats(n, 0.0f, 1.0f);
-  std::vector<float> data(n);
-  for (auto _ : state) {
-    data = input;
-    benchmark::DoNotOptimize(ops.exclusive_scan(std::span<float>(data), nullptr));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendScan<device::Backend::kScalar>)->Arg(512)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_BackendScan<device::Backend::kSimd>)->Arg(512)->Arg(4096)->Arg(65536);
-
-template <device::Backend B>
-void BM_BackendWeigh(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto lw = random_floats(n, -2.0f, 0.0f);
-  const auto ll = random_floats(n, -2.0f, 0.0f);
-  std::vector<float> out(n);
-  for (auto _ : state) {
-    ops.weigh(lw, ll, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendWeigh<device::Backend::kScalar>)->Arg(512)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_BackendWeigh<device::Backend::kSimd>)->Arg(512)->Arg(4096)->Arg(65536);
-
-template <device::Backend B>
-void BM_BackendNormalFill(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto& ops = device::lane_ops<float>(B);
-  const auto draws = random_floats(n, 1e-6f, 0.999999f);
-  std::vector<float> out(n);
-  for (auto _ : state) {
-    ops.normal_fill(draws, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BackendNormalFill<device::Backend::kScalar>)->Arg(512)->Arg(4096)->Arg(65536);
-BENCHMARK(BM_BackendNormalFill<device::Backend::kSimd>)->Arg(512)->Arg(4096)->Arg(65536);
-
-template <device::Backend B>
-void BM_BackendStreamFill(benchmark::State& state) {
-  const auto groups = static_cast<std::size_t>(state.range(0));
-  mcore::ThreadPool pool(1);
-  prng::MtgpStream stream(groups, 42, prng::Generator::kMtgp);
-  prng::RandomBuffer<float> buf;
-  buf.resize(groups, 512 * 9, 2 * 512 + 1);
-  for (auto _ : state) {
-    stream.fill(pool, buf, B);
-    benchmark::DoNotOptimize(buf.normals.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(buf.normals.size() +
-                                                    buf.uniforms.size()));
-}
-BENCHMARK(BM_BackendStreamFill<device::Backend::kScalar>)->Arg(8)->Arg(64);
-BENCHMARK(BM_BackendStreamFill<device::Backend::kSimd>)->Arg(8)->Arg(64);
 
 void BM_ArmTransition(benchmark::State& state) {
   const auto joints = static_cast<std::size_t>(state.range(0));

@@ -210,13 +210,11 @@ Result compare_reports(const Value& baseline, const Value& current,
     if (!opts.allow_build_mismatch) return fatal(what);
     r.notes.push_back(what + " [mismatch allowed]");
   }
-  // Version, worker count and device backend do not gate: the work
-  // counters are designed to be identical across worker counts and
-  // backends, and a version bump alone is not a perf change. Surface them
-  // so a reader can spot stale baselines.
+  // Version and worker count do not gate: the work counters are designed
+  // to be identical across worker counts, and a version bump alone is not
+  // a perf change. Surface them so a reader can spot stale baselines.
   for (const std::string_view key :
-       {std::string_view("version"), std::string_view("workers"),
-        std::string_view("backend")}) {
+       {std::string_view("version"), std::string_view("workers")}) {
     const std::string bv = build_field(bbuild, key);
     const std::string cv = build_field(cbuild, key);
     if (bv != cv) {

@@ -16,7 +16,6 @@
 #include "core/config.hpp"
 #include "core/particle_store.hpp"
 #include "core/stage_probe.hpp"
-#include "device/backend.hpp"
 #include "device/invariants.hpp"
 #include "estimation/diagnostics.hpp"
 #include "models/model.hpp"
@@ -39,13 +38,6 @@ struct CentralizedOptions {
   resample::ResamplePolicy policy = resample::ResamplePolicy::always();
   EstimatorKind estimator = EstimatorKind::kMaxWeight;
   std::uint64_t seed = 42;
-
-  /// Lane-execution backend for the batched kernels the sequential filter
-  /// shares with the device path (weighting, scan sweeps inside the
-  /// cumulative-weight resamplers). Same semantics as
-  /// FilterConfig::backend: kAuto resolves at construction, every backend
-  /// is bit-identical to the scalar reference.
-  device::Backend backend = device::Backend::kAuto;
 
   /// Chain length B of the Metropolis resampler (same semantics as
   /// FilterConfig::metropolis_steps); 0 picks
@@ -109,10 +101,7 @@ class CentralizedParticleFilter {
         cumsum_(n_particles),
         indices_(n_particles),
         noise_(std::max(model_.noise_dim(), model_.init_noise_dim())),
-        loglik_(n_particles),
         estimate_(model_.state_dim(), T(0)),
-        backend_(device::resolve_backend(options.backend)),
-        ops_(&device::lane_ops<T>(backend_)),
         metropolis_steps_(options.metropolis_steps > 0
                               ? options.metropolis_steps
                               : resample::metropolis_default_steps(n_particles)),
@@ -170,13 +159,9 @@ class CentralizedParticleFilter {
             break;
           }
         }
-        loglik_[i] = loglik;
+        // Weighting: w' = w * p(z|x), in the log domain.
+        aux_.log_weights()[i] = cur_.log_weights()[i] + loglik;
       }
-      // Weighting as one batched lane op over the contiguous log-weight and
-      // log-likelihood arrays (element-independent adds: bit-identical on
-      // every backend, stride-friendly on the SIMD one).
-      ops_->weigh(std::span<const T>(cur_.log_weights()),
-                  std::span<const T>(loglik_), aux_.log_weights());
       note_rng(draws);
       cur_.swap(aux_);
       if (opts_.check_invariants) {
@@ -326,8 +311,7 @@ class CentralizedParticleFilter {
     switch (opts_.resample) {
       case ResampleAlgorithm::kRws: {
         fill_uniforms(n_);
-        resample::rws_resample<T>(w, uniform_scratch(), out, cumsum_, ncp,
-                                  ops_->exclusive_scan);
+        resample::rws_resample<T>(w, uniform_scratch(), out, cumsum_, ncp);
         break;
       }
       case ResampleAlgorithm::kVose: {
@@ -339,13 +323,12 @@ class CentralizedParticleFilter {
       case ResampleAlgorithm::kSystematic: {
         note_rng(1);
         resample::systematic_resample<T>(w, prng::uniform01<T>(rng_), out, cumsum_,
-                                         ncp, ops_->exclusive_scan);
+                                         ncp);
         break;
       }
       case ResampleAlgorithm::kStratified: {
         fill_uniforms(n_);
-        resample::stratified_resample<T>(w, uniform_scratch(), out, cumsum_, ncp,
-                                         ops_->exclusive_scan);
+        resample::stratified_resample<T>(w, uniform_scratch(), out, cumsum_, ncp);
         break;
       }
       case ResampleAlgorithm::kMetropolis: {
@@ -440,10 +423,7 @@ class CentralizedParticleFilter {
   std::vector<std::uint32_t> indices_;
   std::vector<T> uniforms_;
   std::vector<T> noise_;
-  std::vector<T> loglik_;  // per-particle log-likelihood scratch (weighting)
   std::vector<T> estimate_;
-  device::Backend backend_;
-  const device::LaneOps<T>* ops_;
   resample::AliasTable<T> alias_;
   std::vector<T> prev_;  // x_{k-1} copy for the resample-move step
   std::size_t metropolis_steps_;  // resolved chain length B

@@ -81,8 +81,7 @@ std::string FilterConfig::summary() const {
       os << "auto";
     }
   }
-  os << " estimator=" << to_string(estimator) << " seed=" << seed
-     << " backend=" << device::to_string(device::resolve_backend(backend));
+  os << " estimator=" << to_string(estimator) << " seed=" << seed;
   if (check_invariants) os << " checked";
   return os.str();
 }

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "device/backend.hpp"
 #include "device/invariants.hpp"
 #include "prng/mtgp_stream.hpp"
 #include "resample/ess.hpp"
@@ -76,14 +75,6 @@ struct FilterConfig {
   prng::Generator generator = prng::Generator::kMtgp;
   std::uint64_t seed = 42;
   std::size_t workers = 0;  ///< emulator worker threads; 0 = auto
-
-  /// Lane-execution backend for the device kernels (sort network, scan
-  /// sweeps, weighting, Box-Muller fills). kAuto resolves at filter
-  /// construction via device::default_backend() (--backend override >
-  /// ESTHERA_BACKEND > scalar). Every backend is bit-identical by contract
-  /// - estimates and the deterministic work.* counters match the scalar
-  /// reference exactly - so this knob trades speed only.
-  device::Backend backend = device::Backend::kAuto;
 
   /// Gordon-style roughening: after each local resampling, every particle
   /// is jittered per dimension by N(0, (k * E_d * m^{-1/dim})^2) where E_d

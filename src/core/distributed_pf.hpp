@@ -32,7 +32,6 @@
 #include "core/filter_state.hpp"
 #include "core/particle_store.hpp"
 #include "core/stage_probe.hpp"
-#include "device/backend.hpp"
 #include "device/device.hpp"
 #include "device/invariants.hpp"
 #include "estimation/diagnostics.hpp"
@@ -144,7 +143,7 @@ class DistributedParticleFilter {
 
   /// Re-draws the initial particle population from the model's prior.
   void initialize() {
-    stream_.fill(dev_->pool(), rand_, backend_);
+    stream_.fill(dev_->pool(), rand_);
     const std::size_t ind = model_.init_noise_dim();
     dev_->launch(n_filters_, [&](std::size_t g) {
       const auto normals = rand_.group_normals(g);
@@ -271,7 +270,6 @@ class DistributedParticleFilter {
         aux_(n_total_, dim_),
         sort_keys_(n_total_),
         sort_idx_(n_total_),
-        loglik_(n_total_),
         weights_(n_total_),
         cumsum_(n_total_),
         alias_prob_(n_total_),
@@ -282,9 +280,7 @@ class DistributedParticleFilter {
         local_best_lw_(n_filters_),
         group_wsum_(n_filters_),
         group_wstate_(n_filters_ * dim_),
-        estimate_(dim_, T(0)),
-        backend_(device::resolve_backend(cfg_.backend)),
-        ops_(&device::lane_ops<T>(backend_)) {
+        estimate_(dim_, T(0)) {
     cfg_.validate();
     // Normals per group: enough for one transition (or initial) draw per
     // particle, plus one jitter vector per particle when roughening is on.
@@ -360,7 +356,7 @@ class DistributedParticleFilter {
   void poison_first_touch_buffers() {
     debug::poison(cur_.raw_state(), cur_.log_weights(), aux_.raw_state(),
                   aux_.log_weights(), rand_.normals, rand_.uniforms, sort_keys_,
-                  sort_idx_, loglik_, weights_, cumsum_, alias_prob_, alias_idx_,
+                  sort_idx_, weights_, cumsum_, alias_prob_, alias_idx_,
                   vose_scaled_, vose_slots_, resample_out_);
   }
 
@@ -404,7 +400,7 @@ class DistributedParticleFilter {
     // The PRNG fill goes straight to the pool rather than through launch(),
     // so the stage scope carries its kernel span.
     const auto stage = probe_.stage(Stage::kRand, "prng");
-    stream_.fill(dev_->pool(), rand_, backend_);
+    stream_.fill(dev_->pool(), rand_);
     probe_.count({.barriers = 1,  // the fill is a launch, too
                   .rng_draws = n_filters_ * (rand_.normals_per_group +
                                              rand_.uniforms_per_group)});
@@ -419,17 +415,15 @@ class DistributedParticleFilter {
     launch("sampling+weighting", [&](std::size_t g) {
       const auto normals = rand_.group_normals(g);
       const std::size_t base = g * m_;
-      auto ll = std::span<T>(loglik_).subspan(base, m_);
+      const auto lw_in = cur_.log_weights(base, m_);
+      auto lw_out = aux_.log_weights(base, m_);
       for (std::size_t p = 0; p < m_; ++p) {
         const std::size_t i = base + p;
         model_.sample_transition(cur_.state(i), aux_.state(i), u,
                                  normals.subspan(p * nd, nd), step_);
-        ll[p] = model_.log_likelihood(aux_.state(i), z);
+        // Weighting: w' = w * p(z|x), in the log domain.
+        lw_out[p] = lw_in[p] + model_.log_likelihood(aux_.state(i), z);
       }
-      // The weighting update w' = w * p(z|x) is a lock-step phase over the
-      // group's lanes; the backend batches it.
-      ops_->weigh(std::span<const T>(cur_.log_weights(base, m_)), ll,
-                  aux_.log_weights(base, m_));
     });
     cur_.swap(aux_);
     if (checker_) {
@@ -454,7 +448,8 @@ class DistributedParticleFilter {
       }
       // Descending: the best particle lands at local index 0.
       sortnet::NetCounters nc;
-      ops_->sort_pairs_desc(keys, idx, probe_.attached() ? &nc : nullptr);
+      sortnet::bitonic_sort_by_key<T, std::uint32_t>(
+          keys, idx, std::greater<T>(), probe_.attached() ? &nc : nullptr);
       probe_.count({.lockstep_phases = nc.lockstep_phases,
                     .compare_exchanges = nc.compare_exchanges});
       // Apply the permutation: gather states (non-contiguous reads,
@@ -700,8 +695,7 @@ class DistributedParticleFilter {
       sortnet::NetCounters* ncp = probe_.attached() ? &nc : nullptr;
       switch (cfg_.resample) {
         case ResampleAlgorithm::kRws:
-          resample::rws_resample<T>(w, uniforms.first(m_), out, cumsum, ncp,
-                                    ops_->exclusive_scan);
+          resample::rws_resample<T>(w, uniforms.first(m_), out, cumsum, ncp);
           break;
         case ResampleAlgorithm::kVose: {
           auto prob = std::span<T>(alias_prob_).subspan(base, m_);
@@ -714,11 +708,11 @@ class DistributedParticleFilter {
         }
         case ResampleAlgorithm::kSystematic:
           resample::systematic_resample<T>(w, static_cast<T>(uniforms[0]), out,
-                                           cumsum, ncp, ops_->exclusive_scan);
+                                           cumsum, ncp);
           break;
         case ResampleAlgorithm::kStratified:
           resample::stratified_resample<T>(w, uniforms.first(m_), out, cumsum,
-                                           ncp, ops_->exclusive_scan);
+                                           ncp);
           break;
         case ResampleAlgorithm::kMetropolis: {
           prng::PhiloxStream chain(chain_seed_, chain_stream(g));
@@ -915,7 +909,6 @@ class DistributedParticleFilter {
   // poison_first_touch_buffers()).
   mcore::FirstTouchVector<T> sort_keys_;
   mcore::FirstTouchVector<std::uint32_t> sort_idx_;
-  mcore::FirstTouchVector<T> loglik_;  // log-likelihood scratch (weighting)
   mcore::FirstTouchVector<T> weights_;
   mcore::FirstTouchVector<T> cumsum_;
   mcore::FirstTouchVector<T> alias_prob_;
@@ -933,8 +926,6 @@ class DistributedParticleFilter {
   std::vector<std::uint32_t> pool_top_;
   std::vector<std::uint32_t> pool_order_;
   std::vector<T> estimate_;
-  device::Backend backend_;            // resolved (never kAuto)
-  const device::LaneOps<T>* ops_;      // lane-batched phase kernels
   std::unique_ptr<debug::InvariantChecker> checker_;
   std::unique_ptr<debug::CheckedDevice> checked_dev_;
   T estimate_lw_ = T(0);

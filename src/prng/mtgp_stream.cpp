@@ -44,10 +44,8 @@ void draw_u01(PhiloxStream& gen, std::span<T> out) {
 }  // namespace
 
 template <typename T>
-void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
-                           device::Backend backend) {
+void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf) {
   const std::uint64_t round = round_++;
-  const auto& ops = device::lane_ops<T>(device::resolve_backend(backend));
   const auto fill_group = [&](std::size_t g) {
     // Draw budget of the normals section: pairwise Box-Muller, so an odd
     // count still consumes a full pair (the paper's PRNG kernel generates a
@@ -68,8 +66,8 @@ void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
       PhiloxStream gen(seed_, (round << 32) | static_cast<std::uint64_t>(g));
       draw(gen);
     }
-    ops.normal_fill(paired, paired);
-    if (odd) ops.normal_fill(std::span<const T>(tail), normals.last(1));
+    box_muller_fill<T>(paired, paired);
+    if (odd) box_muller_fill<T>(std::span<const T>(tail), normals.last(1));
   };
   // One reference capture keeps the std::function the pool takes within
   // its small-object buffer: the fill allocates nothing. Groups go out in
@@ -80,14 +78,12 @@ void MtgpStream::fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
       pool.group_chunk(buf.groups));
 }
 
-void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,
-                      device::Backend backend) {
-  fill_impl(pool, buf, backend);
+void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf) {
+  fill_impl(pool, buf);
 }
 
-void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf,
-                      device::Backend backend) {
-  fill_impl(pool, buf, backend);
+void MtgpStream::fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf) {
+  fill_impl(pool, buf);
 }
 
 MtgpStreamState MtgpStream::save_state() const {

@@ -16,7 +16,6 @@
 #include <span>
 #include <vector>
 
-#include "device/backend.hpp"
 #include "mcore/first_touch.hpp"
 #include "mcore/thread_pool.hpp"
 #include "prng/distributions.hpp"
@@ -98,18 +97,13 @@ class MtgpStream {
   [[nodiscard]] Generator generator() const noexcept { return generator_; }
 
   /// Fills `buf` with N(0,1) normals and U(0,1) uniforms for every group,
-  /// distributing groups over `pool`. Per group, one path serves every
-  /// backend: the raw U(0,1) draws for the normals are bulk-filled straight
-  /// into the group's normals slice (an odd count draws its last pair into
-  /// a two-slot local tail), then the uniforms are bulk-filled, and finally
-  /// the backend's LaneOps::normal_fill runs Box-Muller over the slice in
-  /// place. The draw order - and so every output bit - is the same under
-  /// any backend; see prng::box_muller_fill for the pairing contract. kAuto
-  /// resolves to the process default.
-  void fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf,
-            device::Backend backend = device::Backend::kScalar);
-  void fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf,
-            device::Backend backend = device::Backend::kScalar);
+  /// distributing groups over `pool`. Per group, the raw U(0,1) draws for
+  /// the normals are bulk-filled straight into the group's normals slice
+  /// (an odd count draws its last pair into a two-slot local tail), then
+  /// the uniforms are bulk-filled, and finally prng::box_muller_fill runs
+  /// over the slice in place; see it for the pairing contract.
+  void fill(mcore::ThreadPool& pool, RandomBuffer<float>& buf);
+  void fill(mcore::ThreadPool& pool, RandomBuffer<double>& buf);
 
   /// Captures the full stream position (checkpointing); restoring the
   /// snapshot into a stream constructed with the same group count and
@@ -123,8 +117,7 @@ class MtgpStream {
 
  private:
   template <typename T>
-  void fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf,
-                 device::Backend backend);
+  void fill_impl(mcore::ThreadPool& pool, RandomBuffer<T>& buf);
 
   Generator generator_;
   std::uint64_t seed_ = 0;

@@ -14,25 +14,16 @@
 
 namespace esthera::resample {
 
-/// Exclusive-scan kernel signature shared with device::LaneOps: the
-/// cumulative-weight builds below accept one so the scan inside a resampler
-/// runs on the caller's device backend (scalar reference or lane-batched).
-template <typename T>
-using ScanFn = T (*)(std::span<T>, sortnet::NetCounters*);
-
 /// Builds the inclusive cumulative-weight array in `cumsum` (same size as
 /// `weights`) and returns the total weight. Uses the Blelloch lock-step
-/// scan when the size is a power of two, matching the device kernel;
-/// `scan` selects the scan implementation (defaults to the scalar
-/// reference; every implementation is bit-identical by contract).
+/// scan when the size is a power of two, matching the device kernel.
 template <typename T>
 T build_cumulative(std::span<const T> weights, std::span<T> cumsum,
-                   sortnet::NetCounters* nc = nullptr,
-                   ScanFn<T> scan = &sortnet::blelloch_exclusive_scan<T>) {
+                   sortnet::NetCounters* nc = nullptr) {
   assert(cumsum.size() == weights.size());
   for (std::size_t i = 0; i < weights.size(); ++i) cumsum[i] = weights[i];
   if (sortnet::is_pow2(cumsum.size())) {
-    const T total = scan(cumsum, nc);
+    const T total = sortnet::blelloch_exclusive_scan<T>(cumsum, nc);
     // Convert exclusive to inclusive: shift left, append total.
     for (std::size_t i = 0; i + 1 < cumsum.size(); ++i) cumsum[i] = cumsum[i + 1];
     if (!cumsum.empty()) cumsum[cumsum.size() - 1] = total;
@@ -68,10 +59,9 @@ std::size_t upper_index(std::span<const T> cumsum, T target) {
 template <typename T>
 void rws_resample(std::span<const T> weights, std::span<const T> uniforms,
                   std::span<std::uint32_t> out, std::span<T> cumsum,
-                  sortnet::NetCounters* nc = nullptr,
-                  ScanFn<T> scan = &sortnet::blelloch_exclusive_scan<T>) {
+                  sortnet::NetCounters* nc = nullptr) {
   assert(uniforms.size() >= out.size());
-  const T total = build_cumulative(weights, cumsum, nc, scan);
+  const T total = build_cumulative(weights, cumsum, nc);
   assert(total > T(0) && "RWS requires positive total weight");
   for (std::size_t s = 0; s < out.size(); ++s) {
     const T target = uniforms[s] * total;

@@ -19,11 +19,10 @@ namespace esthera::resample {
 template <typename T>
 void systematic_resample(std::span<const T> weights, T u,
                          std::span<std::uint32_t> out, std::span<T> cumsum,
-                         sortnet::NetCounters* nc = nullptr,
-                         ScanFn<T> scan = &sortnet::blelloch_exclusive_scan<T>) {
+                         sortnet::NetCounters* nc = nullptr) {
   const std::size_t draws = out.size();
   if (draws == 0) return;
-  const T total = build_cumulative(weights, cumsum, nc, scan);
+  const T total = build_cumulative(weights, cumsum, nc);
   assert(total > T(0));
   const T step = total / static_cast<T>(draws);
   T pointer = u * step;
@@ -39,12 +38,11 @@ void systematic_resample(std::span<const T> weights, T u,
 template <typename T>
 void stratified_resample(std::span<const T> weights, std::span<const T> uniforms,
                          std::span<std::uint32_t> out, std::span<T> cumsum,
-                         sortnet::NetCounters* nc = nullptr,
-                         ScanFn<T> scan = &sortnet::blelloch_exclusive_scan<T>) {
+                         sortnet::NetCounters* nc = nullptr) {
   const std::size_t draws = out.size();
   if (draws == 0) return;
   assert(uniforms.size() >= draws);
-  const T total = build_cumulative(weights, cumsum, nc, scan);
+  const T total = build_cumulative(weights, cumsum, nc);
   assert(total > T(0));
   const T step = total / static_cast<T>(draws);
   std::size_t idx = 0;

@@ -47,62 +47,6 @@ T blelloch_exclusive_scan(std::span<T> data, NetCounters* nc = nullptr) {
   return total;
 }
 
-/// Lane-batched Blelloch scan: the identical up/down-sweep schedule as
-/// blelloch_exclusive_scan, with each sweep's element-independent updates
-/// batched into a `#pragma omp simd` loop over the sweep's lane index. The
-/// per-lane adds and moves touch disjoint elements and are IEEE-exact, so
-/// results and scan_sweeps tallies are bit-identical to the scalar
-/// reference. Only the stride-2 sweeps (d == 1: half of all updates, and
-/// the only ones with adjacent lanes) take the vector loop - wider strides
-/// degenerate into gather/scatter and measure slower than the scalar walk.
-template <typename T>
-T blelloch_exclusive_scan_simd(std::span<T> data, NetCounters* nc = nullptr) {
-  const std::size_t n = data.size();
-  if (n == 0) return T(0);
-  if (n == 1) {
-    const T total = data[0];
-    data[0] = T(0);
-    return total;
-  }
-  assert(is_pow2(n) && "blelloch scan requires a power-of-two size");
-  T* const ptr = data.data();
-  {
-    if (nc) ++nc->scan_sweeps;  // d == 1 up-sweep
-    const std::size_t lanes = n / 2;
-#pragma omp simd
-    for (std::size_t p = 0; p < lanes; ++p) {
-      ptr[2 * p + 1] += ptr[2 * p];
-    }
-  }
-  for (std::size_t d = 2; d < n; d <<= 1) {
-    if (nc) ++nc->scan_sweeps;
-    for (std::size_t i = 2 * d - 1; i < n; i += 2 * d) {
-      ptr[i] += ptr[i - d];
-    }
-  }
-  const T total = ptr[n - 1];
-  ptr[n - 1] = T(0);
-  for (std::size_t d = n >> 1; d >= 2; d >>= 1) {
-    if (nc) ++nc->scan_sweeps;
-    for (std::size_t i = 2 * d - 1; i < n; i += 2 * d) {
-      const T t = ptr[i - d];
-      ptr[i - d] = ptr[i];
-      ptr[i] += t;
-    }
-  }
-  {
-    if (nc) ++nc->scan_sweeps;  // d == 1 down-sweep
-    const std::size_t lanes = n / 2;
-#pragma omp simd
-    for (std::size_t p = 0; p < lanes; ++p) {
-      const T t = ptr[2 * p];
-      ptr[2 * p] = ptr[2 * p + 1];
-      ptr[2 * p + 1] += t;
-    }
-  }
-  return total;
-}
-
 /// Inclusive scan built on the exclusive scan; returns the total sum.
 template <typename T>
 T inclusive_scan_inplace(std::span<T> data) {

@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <numbers>
 #include <numeric>
 #include <random>
@@ -100,6 +102,39 @@ void simt_bitonic_sort(std::vector<float>& keys) {
   });
 }
 
+/// The filter's local-sort program on real lane threads: descending
+/// (key, index) bitonic sort, one barrier per compare-exchange round.
+/// Tallies its rounds and its live compare-exchange lanes the way
+/// sortnet::NetCounters does.
+sortnet::NetCounters simt_sort_pairs_desc(std::vector<float>& keys,
+                                          std::vector<std::uint32_t>& idx) {
+  const std::size_t n = keys.size();
+  std::atomic<std::uint64_t> phases{0};
+  std::atomic<std::uint64_t> exchanges{0};
+  device::run_simt_group(n, [&](device::LaneContext& ctx) {
+    const std::size_t i = ctx.lane_id();
+    for (std::size_t k = 2; k <= n; k <<= 1) {
+      for (std::size_t j = k >> 1; j > 0; j >>= 1) {
+        if (i == 0) phases.fetch_add(1);
+        const std::size_t l = i ^ j;
+        if (l > i) {
+          exchanges.fetch_add(1);
+          const bool ascending = (i & k) == 0;
+          if ((keys[l] > keys[i]) == ascending) {
+            std::swap(keys[i], keys[l]);
+            std::swap(idx[i], idx[l]);
+          }
+        }
+        ctx.barrier();
+      }
+    }
+  });
+  sortnet::NetCounters nc;
+  nc.lockstep_phases = phases.load();
+  nc.compare_exchanges = exchanges.load();
+  return nc;
+}
+
 TEST(Simt, BitonicKernelMatchesLockStepEmulation) {
   std::mt19937 gen(5);
   for (const std::size_t n : {2u, 8u, 32u, 64u}) {
@@ -110,6 +145,26 @@ TEST(Simt, BitonicKernelMatchesLockStepEmulation) {
     simt_bitonic_sort(simt);
     sortnet::bitonic_sort(std::span<float>(emulated));
     EXPECT_EQ(simt, emulated) << "n=" << n;
+  }
+  // The filter's (key, index) sort, descending, with exact duplicate keys
+  // so that a tie handled differently would move an index.
+  for (const std::size_t n : {2u, 8u, 64u, 512u}) {
+    std::vector<float> input(n);
+    for (auto& v : input) v = static_cast<float>(gen() % 97) * 0.125f;
+    std::vector<std::uint32_t> iota(n);
+    std::iota(iota.begin(), iota.end(), 0u);
+    auto simt_keys = input;
+    auto simt_idx = iota;
+    auto keys = input;
+    auto idx = iota;
+    const sortnet::NetCounters simt_nc = simt_sort_pairs_desc(simt_keys, simt_idx);
+    sortnet::NetCounters nc;
+    sortnet::bitonic_sort_by_key<float, std::uint32_t>(keys, idx, std::greater<float>(),
+                                                       &nc);
+    EXPECT_EQ(simt_keys, keys) << "n=" << n;
+    EXPECT_EQ(simt_idx, idx) << "n=" << n;
+    EXPECT_EQ(simt_nc.lockstep_phases, nc.lockstep_phases) << "n=" << n;
+    EXPECT_EQ(simt_nc.compare_exchanges, nc.compare_exchanges) << "n=" << n;
   }
 }
 

@@ -4,10 +4,12 @@
 // checks on the uniform/normal transforms and the per-group stream scheme.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "mcore/thread_pool.hpp"
@@ -156,6 +158,34 @@ TEST(Distributions, NormalSourceMoments) {
   EXPECT_NEAR(sum2 / n, 1.0, 0.02);       // variance
   EXPECT_NEAR(sum3 / n, 0.0, 0.03);       // skewness numerator
   EXPECT_NEAR(sum4 / n, 3.0, 0.1);        // kurtosis of N(0,1)
+}
+
+// The batched fill reproduces the NormalSource sequence bit for bit under
+// the pinned pairing (radius = second draw of each pair): for even sizes,
+// for odd sizes whose last pair's z1 is drawn but discarded, from a
+// separate draw buffer and in place over the draws as MtgpStream::fill
+// runs it.
+TEST(Distributions, BoxMullerFillMatchesNormalSource) {
+  for (const std::size_t n : {6u, 7u, 64u, 65u}) {
+    const std::size_t pairs = (n + 1) / 2;
+    prng::Mt19937 gen(91);
+    std::vector<double> draws(2 * pairs);
+    for (auto& d : draws) d = prng::uniform01<double>(gen);
+
+    prng::Mt19937 ref_gen(91);
+    prng::NormalSource<double, prng::Mt19937> ref(ref_gen);
+    std::vector<double> expected(n);
+    for (auto& v : expected) v = ref();
+
+    std::vector<double> out(n);
+    prng::box_muller_fill<double>(draws, out);
+    EXPECT_EQ(out, expected) << "n=" << n;
+
+    auto inplace = draws;
+    prng::box_muller_fill<double>(inplace, std::span<double>(inplace).first(n));
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), inplace.begin()))
+        << "in place, n=" << n;
+  }
 }
 
 TEST(Distributions, NormalTailProbability) {

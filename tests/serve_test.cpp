@@ -225,29 +225,26 @@ TEST(ServeCheckpoint, ImportRejectsShapeMismatch) {
 
 // The snapshot constructor is construct-then-import_state() without the
 // seeding and prior draw: 20 post-restore estimates must match bit for bit
-// across generator cores, backends and roughening.
+// across generator cores and roughening.
 TEST(ServeCheckpoint, SnapshotConstructorMatchesConstructThenImport) {
   const Traffic traffic(8, 24);
   for (const auto generator : {prng::Generator::kMtgp, prng::Generator::kPhilox}) {
-    for (const auto backend : {device::Backend::kScalar, device::Backend::kSimd}) {
-      for (const double roughening : {0.0, 0.2}) {
-        core::FilterConfig cfg = small_config();
-        cfg.generator = generator;
-        cfg.backend = backend;
-        cfg.roughening_k = roughening;
-        ArmFilter source(make_model(8), cfg);
-        for (std::size_t k = 0; k < 4; ++k) source.step(traffic.z[k], traffic.u[k]);
-        const auto state = source.export_state();
+    for (const double roughening : {0.0, 0.2}) {
+      core::FilterConfig cfg = small_config();
+      cfg.generator = generator;
+      cfg.roughening_k = roughening;
+      ArmFilter source(make_model(8), cfg);
+      for (std::size_t k = 0; k < 4; ++k) source.step(traffic.z[k], traffic.u[k]);
+      const auto state = source.export_state();
 
-        ArmFilter imported(make_model(8), cfg);
-        imported.import_state(state);
-        ArmFilter built(make_model(8), cfg, std::make_shared<device::Device>(1), state);
-        EXPECT_EQ(built.step_index(), 4u);
-        EXPECT_EQ(estimates_concat(built, traffic, 4, 24),
-                  estimates_concat(imported, traffic, 4, 24))
-            << "generator " << static_cast<int>(generator) << " backend "
-            << static_cast<int>(backend) << " roughening " << roughening;
-      }
+      ArmFilter imported(make_model(8), cfg);
+      imported.import_state(state);
+      ArmFilter built(make_model(8), cfg, std::make_shared<device::Device>(1), state);
+      EXPECT_EQ(built.step_index(), 4u);
+      EXPECT_EQ(estimates_concat(built, traffic, 4, 24),
+                estimates_concat(imported, traffic, 4, 24))
+          << "generator " << static_cast<int>(generator) << " roughening "
+          << roughening;
     }
   }
 }
