@@ -6,7 +6,7 @@ namespace esthera::core {
 
 double StageTimers::total() const {
   double t = 0.0;
-  for (const auto& h : histograms_) t += h.sum();
+  for (const double s : seconds_) t += s;
   return t;
 }
 

@@ -3,19 +3,20 @@
 // Sec. VI: PRNG, sampling+weighting, local sort, global estimate, particle
 // exchange, and resampling.
 //
-// Accounting is per launch, not sum-only: each add() records one sample
-// into a fixed-bucket telemetry::LatencyHistogram per stage, so seconds()
-// and fraction() (views over the histograms) come with launch counts and
-// p50/p95/p99 for free. fraction() and breakdown_string() are well-defined
-// on a fresh or reset() timer (total() == 0): every fraction is 0 and the
-// breakdown says so instead of printing six baseless 0.0% bars.
+// Each add() accumulates one launch into its stage's sum and count, so
+// every seconds() and fraction() comes with its launch count. The
+// per-launch distribution lives in the registry's "stage.<key>" histograms
+// when telemetry is attached (core::StageProbe); a timer stays 96 bytes,
+// which matters for a serve session that carries one per filter.
+// fraction() and breakdown_string() are well-defined on a fresh or reset()
+// timer (total() == 0): every fraction is 0 and the breakdown says so
+// instead of printing six baseless 0.0% bars.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <string>
-
-#include "telemetry/histogram.hpp"
 
 namespace esthera::core {
 
@@ -30,29 +31,25 @@ enum class Stage : std::size_t {
 
 inline constexpr std::size_t kStageCount = 6;
 
-/// Per-stage launch latency histograms (wall-clock seconds).
+/// Per-stage launch time sums and counts (wall-clock seconds).
 class StageTimers {
  public:
   /// Records one launch of `stage` taking `seconds`.
   void add(Stage stage, double seconds) {
-    histograms_[static_cast<std::size_t>(stage)].record(seconds);
+    const auto s = static_cast<std::size_t>(stage);
+    seconds_[s] += seconds;
+    ++launches_[s];
   }
 
   /// Total wall-clock seconds spent in `stage` across all launches.
   [[nodiscard]] double seconds(Stage stage) const {
-    return histograms_[static_cast<std::size_t>(stage)].sum();
+    return seconds_[static_cast<std::size_t>(stage)];
   }
 
   /// Number of launches recorded for `stage` (the sample size behind
-  /// every fraction/percentile of that stage).
+  /// every fraction of that stage).
   [[nodiscard]] std::size_t launches(Stage stage) const {
-    return static_cast<std::size_t>(
-        histograms_[static_cast<std::size_t>(stage)].count());
-  }
-
-  /// Full per-launch latency distribution of `stage`.
-  [[nodiscard]] const telemetry::LatencyHistogram& histogram(Stage stage) const {
-    return histograms_[static_cast<std::size_t>(stage)];
+    return static_cast<std::size_t>(launches_[static_cast<std::size_t>(stage)]);
   }
 
   [[nodiscard]] double total() const;
@@ -62,7 +59,8 @@ class StageTimers {
   [[nodiscard]] double fraction(Stage stage) const;
 
   void reset() {
-    for (auto& h : histograms_) h.reset();
+    seconds_.fill(0.0);
+    launches_.fill(0);
   }
 
   [[nodiscard]] static const char* name(Stage stage);
@@ -77,7 +75,8 @@ class StageTimers {
   [[nodiscard]] std::string breakdown_string() const;
 
  private:
-  std::array<telemetry::LatencyHistogram, kStageCount> histograms_{};
+  std::array<double, kStageCount> seconds_{};
+  std::array<std::uint64_t, kStageCount> launches_{};
 };
 
 }  // namespace esthera::core
