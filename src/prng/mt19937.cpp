@@ -22,7 +22,9 @@ void Mt19937::reseed(std::uint32_t seed) {
 }
 
 std::vector<Mt19937> Mt19937::seeded(std::span<const std::uint32_t> seeds) {
-  std::vector<Mt19937> gens(seeds.size(), Mt19937(Unseeded{}));
+  std::vector<Mt19937> gens;
+  gens.reserve(seeds.size());
+  for (std::size_t g = 0; g < seeds.size(); ++g) gens.emplace_back(Unseeded{});
   constexpr std::size_t kLanes = 4;
   std::size_t g = 0;
   for (; g + kLanes <= seeds.size(); g += kLanes) {
@@ -39,7 +41,6 @@ std::vector<Mt19937> Mt19937::seeded(std::span<const std::uint32_t> seeds) {
     }
   }
   for (; g < seeds.size(); ++g) gens[g].reseed(seeds[g]);
-  for (Mt19937& gen : gens) gen.index_ = kN;
   return gens;
 }
 

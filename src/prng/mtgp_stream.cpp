@@ -21,7 +21,9 @@ MtgpStream::MtgpStream(std::size_t groups, std::uint64_t seed, Generator generat
                        const MtgpStreamState& state)
     : generator_(generator), seed_(seed) {
   if (generator_ == Generator::kMtgp) {
-    mt_.assign(groups, Mt19937(Mt19937::Unseeded{}));
+    // Built in place unseeded: restore_state() writes every word.
+    mt_.reserve(groups);
+    for (std::size_t g = 0; g < groups; ++g) mt_.emplace_back(Mt19937::Unseeded{});
   } else {
     philox_streams_ = groups;
   }
