@@ -23,8 +23,8 @@ namespace esthera::mcore {
 /// The pool is oriented at data-parallel dispatch rather than task queues:
 /// `run(n, fn)` invokes `fn(i, worker)` for every i in [0, n) exactly once,
 /// dynamically load-balanced over the workers with an atomic chunk counter.
-/// `worker` is the index of the executing worker in [0, worker_count()),
-/// usable for per-worker scratch state.
+/// `worker` is the index of the executing worker in [0, worker_count());
+/// see worker_count() for when it may serve as a scratch-slot key.
 ///
 /// A worker count of 0 or 1 executes inline on the calling thread, which
 /// keeps single-core runs free of synchronization overhead. A dispatch
@@ -43,8 +43,14 @@ class ThreadPool {
 
   /// Number of logical workers, including the calling thread, which
   /// participates in every run() as worker 0. Pool threads are workers
-  /// 1..worker_count()-1, so worker indices passed to `fn` are unique and
-  /// safe to use for per-worker scratch slots.
+  /// 1..worker_count()-1. Within one dispatch the indices passed to `fn`
+  /// are unique per thread, but not across dispatches: a run() that
+  /// executes inline -- a second thread dispatching concurrently, or a
+  /// nested run() from inside `fn` -- reports worker 0 for all its indices
+  /// while the dispatch that owns the slot also has a worker 0. A worker
+  /// index is therefore a safe scratch-slot key only when no other run()
+  /// can be in flight on the pool; otherwise borrow scratch from a
+  /// mutex-guarded free list (core::WorkspacePool does).
   [[nodiscard]] std::size_t worker_count() const noexcept {
     return threads_.size() + 1;
   }

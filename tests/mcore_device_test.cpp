@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -337,6 +338,39 @@ TEST(ThreadPool, NestedRunExecutesInline) {
     });
   });
   for (std::size_t i = 0; i < hits.size(); ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, InlineRunsReportWorkerZero) {
+  // A worker index is unique only within one dispatch: a run() that finds
+  // the job slot taken executes inline and reports worker 0 for every
+  // index, while the dispatch that owns the slot has a worker 0 of its own.
+  mcore::ThreadPool pool(4);
+  std::vector<std::size_t> nested(16 * 4, 99);
+  pool.run(16, [&](std::size_t outer, std::size_t) {
+    pool.run(4, [&](std::size_t inner, std::size_t worker) {
+      nested[outer * 4 + inner] = worker;
+    });
+  });
+  for (std::size_t i = 0; i < nested.size(); ++i) EXPECT_EQ(nested[i], 0u) << i;
+
+  // Concurrent: the owner's index 0 holds the slot until the second
+  // dispatcher's run() has returned.
+  std::promise<void> owner_inside;
+  std::promise<void> other_done;
+  std::shared_future<void> other_done_f = other_done.get_future().share();
+  std::thread owner([&] {
+    pool.run(4, [&](std::size_t i, std::size_t) {
+      if (i != 0) return;
+      owner_inside.set_value();
+      other_done_f.wait();
+    });
+  });
+  owner_inside.get_future().wait();
+  std::vector<std::size_t> other(32, 99);
+  pool.run(32, [&](std::size_t i, std::size_t worker) { other[i] = worker; });
+  other_done.set_value();
+  owner.join();
+  for (std::size_t i = 0; i < other.size(); ++i) EXPECT_EQ(other[i], 0u) << i;
 }
 
 TEST(Device, LaunchCoversAllGroups) {
