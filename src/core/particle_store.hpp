@@ -36,6 +36,16 @@ class ParticleStore {
     log_weight_.assign(count, T(0));
   }
 
+  /// Reshapes the store without writing it: elements past the old size are
+  /// left unwritten, and the capacity never shrinks (a scratch store that
+  /// serves several shapes keeps room for the largest).
+  void reshape(std::size_t count, std::size_t dim) {
+    count_ = count;
+    dim_ = dim;
+    state_.resize(count * dim);
+    log_weight_.resize(count);
+  }
+
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
