@@ -31,6 +31,12 @@
 // mutation done off-lock, so checkpoint/estimate/close wait on the busy
 // flag instead of racing the step.
 //
+// Memory: a session holds only its filter's persistent state, about its
+// checkpoint blob. A step (and the prior draw of open_session) borrows its
+// round scratch from the manager's core::WorkspacePool, so a manager needs
+// as many workspaces as steps run at once -- at most worker_count() per
+// dispatching thread -- however many sessions are open.
+//
 // A session's own FilterConfig::telemetry/monitor (if any) is exercised
 // from scheduler worker threads. Counters and gauges are atomic, but
 // stage histograms are single-writer, so share one Telemetry instance
@@ -58,6 +64,7 @@
 #include <vector>
 
 #include "core/distributed_pf.hpp"
+#include "core/step_workspace.hpp"
 #include "device/device.hpp"
 #include "mcore/thread_pool.hpp"
 #include "monitor/monitor.hpp"
@@ -204,9 +211,14 @@ class SessionManager {
   [[nodiscard]] const ServeConfig& config() const { return cfg_; }
   [[nodiscard]] std::size_t worker_count() const { return pool_.worker_count(); }
 
+  /// Step workspaces created so far: the peak number of steps (and session
+  /// opens) that ran at once, not the number of sessions.
+  [[nodiscard]] std::size_t workspace_count() const { return workspaces_.created(); }
+
   /// Opens a session running `model` under `fcfg` (per-session seed, shape,
   /// telemetry, monitor all come from `fcfg`). The filter runs on the
-  /// manager's shared single-worker device regardless of `fcfg.workers`.
+  /// manager's shared single-worker device regardless of `fcfg.workers`,
+  /// and draws its prior in a workspace borrowed from the manager's pool.
   /// `tenant` is a free-form owner tag propagated into trace spans,
   /// flight events, and statusz (0 = untagged).
   [[nodiscard]] OpenResult open_session(Model model, core::FilterConfig fcfg,
@@ -215,8 +227,9 @@ class SessionManager {
     if (const Admission a = admit_session_locked(); a != Admission::kAccepted) {
       return {note_reject(a), 0};
     }
+    const auto ws = workspaces_.borrow();  // the prior draw's variates
     return insert_session_locked(
-        std::make_unique<Filter>(std::move(model), fcfg, device_), fcfg,
+        std::make_unique<Filter>(std::move(model), fcfg, device_, *ws), fcfg,
         cnt_opened_, tenant);
   }
 
@@ -433,11 +446,12 @@ class SessionManager {
       profile::Scope prof_scope(prof_, batch_accum_);
       pool_.run(batch.size(), [&](std::size_t i, std::size_t /*worker*/) {
         Entry& e = batch[i];
+        const auto ws = workspaces_.borrow();
         if (e.req.ctx) {
           e.bctx = e.req.ctx.child("batch", batch_seq);
-          e.session->filter->step(e.req.z, e.req.u, &e.bctx);
+          e.session->filter->step(*ws, e.req.z, e.req.u, &e.bctx);
         } else {
-          e.session->filter->step(e.req.z, e.req.u);
+          e.session->filter->step(*ws, e.req.z, e.req.u);
         }
       });
     }
@@ -875,6 +889,8 @@ class SessionManager {
   ServeConfig cfg_;
   mcore::ThreadPool pool_;
   std::shared_ptr<device::Device> device_;
+  /// Round scratch lent to session steps (see the file comment).
+  core::WorkspacePool<T> workspaces_;
   /// Always-on black box; declared after device_ to match the ctor init
   /// list, before anything that records into it.
   telemetry::FlightRecorder flight_;

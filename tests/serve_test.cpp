@@ -6,7 +6,8 @@
 // intervening checkpoint/restore), admission control with every rejection
 // reason, EDF batch ordering, the serve.* metric catalogue, and a
 // concurrent submit/checkpoint/evict stress loop for TSan (plus a
-// multi-waiter close/evict race on one busy session).
+// multi-waiter close/evict race on one busy session and two dispatchers
+// sharing step workspaces across session shapes).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -526,6 +527,66 @@ TEST(Serve, MetricsCatalogueIsRecorded) {
 // job runs this to shake out scheduler races. Assertions are structural
 // (no lost sessions, drain empties the queue); the determinism test above
 // covers value correctness.
+// Sessions of two shapes share the manager's step workspaces while two
+// threads dispatch batches at once, so one workspace serves both shapes
+// and an inline dispatch (worker 0 on two threads) borrows beside the
+// pooled one. Every session must still end bit-identical to its filter
+// stepped directly, with invariant checking off and on (checked, each
+// borrow re-poisons the workspace).
+TEST(ServeStress, TwoDispatchersShareWorkspacesAcrossShapes) {
+  constexpr std::size_t kSessions = 8;
+  constexpr std::size_t kSteps = 6;
+  const auto config = [](std::size_t s, bool checked) {
+    core::FilterConfig cfg;
+    cfg.particles_per_filter = s % 2 == 0 ? 32 : 64;
+    cfg.num_filters = s % 2 == 0 ? 8 : 16;
+    cfg.seed = 1100 + s;
+    cfg.workers = 1;
+    cfg.check_invariants = checked;
+    return cfg;
+  };
+  for (const bool checked : {false, true}) {
+    SCOPED_TRACE(checked ? "checked" : "unchecked");
+    serve::ServeConfig scfg;
+    scfg.workers = 2;
+    scfg.max_batch = 3;
+    scfg.max_pending_per_session = kSteps;
+    Manager mgr(scfg);
+    std::vector<Traffic> traffic;
+    std::vector<Manager::SessionId> ids;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      traffic.emplace_back(40 + s, kSteps);
+      const auto opened = mgr.open_session(make_model(40 + s), config(s, checked));
+      ASSERT_TRUE(opened.ok());
+      ids.push_back(opened.id);
+    }
+    for (std::size_t k = 0; k < kSteps; ++k) {
+      for (std::size_t s = 0; s < kSessions; ++s) {
+        ASSERT_TRUE(mgr.submit(ids[s], traffic[s].z[k], traffic[s].u[k],
+                               static_cast<double>(k))
+                        .ok());
+      }
+    }
+    const auto dispatch = [&mgr] {
+      while (mgr.queue_depth() > 0) mgr.run_batch();
+    };
+    std::thread a(dispatch);
+    std::thread b(dispatch);
+    a.join();
+    b.join();
+    mgr.drain();
+    // Steps run at once: the pooled dispatch's workers plus the inline one.
+    EXPECT_LE(mgr.workspace_count(), 2 * mgr.worker_count());
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      ArmFilter pf(make_model(40 + s), config(s, checked));
+      for (std::size_t k = 0; k < kSteps; ++k) pf.step(traffic[s].z[k], traffic[s].u[k]);
+      const auto blob = mgr.checkpoint(ids[s]);
+      ASSERT_TRUE(blob.has_value());
+      EXPECT_EQ(*blob, serve::encode_checkpoint<float>(pf.export_state())) << "session " << s;
+    }
+  }
+}
+
 TEST(ServeStress, ConcurrentSubmitCheckpointEvict) {
   serve::ServeConfig scfg;
   scfg.workers = 2;
